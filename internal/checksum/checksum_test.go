@@ -1,11 +1,53 @@
 package checksum
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// refSum is the byte-pair reference for Sum: the plain RFC 1071 loop,
+// two bytes per addition. The accumulator is 64 bits wide so carries
+// cannot overflow at any datagram size.
+func refSum(p []byte) uint16 {
+	var s uint64
+	for len(p) >= 2 {
+		s += uint64(p[0])<<8 | uint64(p[1])
+		p = p[2:]
+	}
+	if len(p) == 1 {
+		s += uint64(p[0]) << 8
+	}
+	for s>>16 != 0 {
+		s = (s & 0xffff) + s>>16
+	}
+	return ^uint16(s)
+}
+
+// TestSumMatchesReference checks the word-at-a-time Sum against the
+// byte-pair reference at every length from 0 to 3000 (odd lengths
+// included), on random bytes, on all-0xFF buffers (the end-around-carry
+// extreme), and on sub-slices starting at every alignment mod 8.
+func TestSumMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const maxLen = 3000
+	random := make([]byte, maxLen+8)
+	rng.Read(random)
+	ones := bytes.Repeat([]byte{0xFF}, maxLen+8)
+	for n := 0; n <= maxLen; n++ {
+		for _, buf := range [][]byte{random, ones} {
+			for start := 0; start < 8; start++ {
+				p := buf[start : start+n]
+				if got, want := Sum(p), refSum(p); got != want {
+					t.Fatalf("len %d at offset %d (first byte %#x): Sum = %04x, reference %04x",
+						n, start, buf[start], got, want)
+				}
+			}
+		}
+	}
+}
 
 func TestSumKnownVector(t *testing.T) {
 	// RFC 1071 example: the ones'-complement sum of 00 01 f2 03 f4 f5
@@ -119,6 +161,17 @@ func TestUpdateChain(t *testing.T) {
 func BenchmarkSumFull8K(b *testing.B) {
 	data := make([]byte, 8192)
 	b.SetBytes(8192)
+	for i := 0; i < b.N; i++ {
+		Sum(data)
+	}
+}
+
+// BenchmarkSumFull32K sums a stripe-unit-sized READ/WRITE datagram, the
+// full checksum every hop computes (Build) and verifies (Parse).
+func BenchmarkSumFull32K(b *testing.B) {
+	data := make([]byte, 32<<10)
+	rand.New(rand.NewSource(1)).Read(data)
+	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
 		Sum(data)
 	}

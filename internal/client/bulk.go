@@ -28,13 +28,14 @@
 //     invalidates it, and a read that breaks the sequential pattern
 //     resets it.
 //
-// Buffer ownership across the async boundary: a write-behind chunk
-// carved from the tail copies its bytes into a pooled buffer; the
+// Buffer ownership across the async boundary: every write-behind chunk
+// copies its bytes into a buffer from the netsim datagram pool; the
 // dispatched worker owns that buffer exclusively until its WRITE —
 // including any retry, which re-encodes the payload — completes, and only
-// then returns it to the pool. Callers may therefore reuse their own
-// buffers the moment Write returns. Flushed tail buffers transfer
-// ownership to the dispatched chunks outright and are left to the GC.
+// then returns it to the pool, whether the WRITE succeeded or failed.
+// Callers may therefore reuse their own buffers the moment Write
+// returns. Readahead entries keep the decoded READ reply data they
+// received; nothing is copied until a read consumes the entry.
 package client
 
 import (
@@ -44,6 +45,7 @@ import (
 	"time"
 
 	"slice/internal/fhandle"
+	"slice/internal/netsim"
 	"slice/internal/nfsproto"
 	"slice/internal/oncrpc"
 )
@@ -100,34 +102,43 @@ func (c *Client) chunkSpans(off uint64, n int) []chunkSpan {
 	return out
 }
 
-// chunkRead reads one chunk, continuing on short replies and re-issuing
-// once (fresh xid) on timeout — reads are idempotent, so the re-issue
-// preserves at-most-once effects while riding out a node restart
-// mid-transfer. Returns bytes read and whether the server reported EOF.
+// chunkRead reads one chunk, continuing on short replies. Returns bytes
+// read and whether the server reported EOF.
 func (c *Client) chunkRead(fh fhandle.Handle, off uint64, p []byte) (int, bool, error) {
 	got := 0
 	for got < len(p) {
-		cur := off + uint64(got)
-		args := nfsproto.ReadArgs{FH: fh, Offset: cur, Count: uint32(len(p) - got)}
-		var res nfsproto.ReadRes
-		err := c.call(fh, nfsproto.ProcRead, &args, &res)
-		if errors.Is(err, oncrpc.ErrTimedOut) {
-			res = nfsproto.ReadRes{}
-			err = c.call(fh, nfsproto.ProcRead, &args, &res)
-		}
+		data, eof, err := c.readOnce(fh, off+uint64(got), len(p)-got)
 		if err != nil {
 			return got, false, err
 		}
-		if res.Status != nfsproto.OK {
-			return got, false, res.Status.Error()
-		}
-		n := copy(p[got:], res.Data)
+		n := copy(p[got:], data)
 		got += n
-		if res.EOF || n == 0 {
+		if eof || n == 0 {
 			return got, true, nil
 		}
 	}
 	return got, false, nil
+}
+
+// readOnce issues one READ of up to n bytes at off, re-issuing once
+// (fresh xid) on timeout — reads are idempotent, so the re-issue
+// preserves at-most-once effects while riding out a node restart
+// mid-transfer. The returned data aliases the reply body.
+func (c *Client) readOnce(fh fhandle.Handle, off uint64, n int) ([]byte, bool, error) {
+	args := nfsproto.ReadArgs{FH: fh, Offset: off, Count: uint32(n)}
+	var res nfsproto.ReadRes
+	err := c.call(fh, nfsproto.ProcRead, &args, &res)
+	if errors.Is(err, oncrpc.ErrTimedOut) {
+		res = nfsproto.ReadRes{}
+		err = c.call(fh, nfsproto.ProcRead, &args, &res)
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	if res.Status != nfsproto.OK {
+		return nil, false, res.Status.Error()
+	}
+	return res.Data, res.EOF, nil
 }
 
 // chunkWrite writes one chunk, continuing on short writes and re-issuing
@@ -374,37 +385,20 @@ func (f *fileIO) dropSpan(off uint64) {
 	}
 }
 
-// wchunk is one dispatched write-behind chunk. pooled marks data as a
-// chunkPool buffer the worker must return after its WRITE completes.
+// wchunk is one dispatched write-behind chunk. data is a netsim pool
+// buffer the worker returns after its WRITE completes.
 type wchunk struct {
-	fh     fhandle.Handle
-	id     fhandle.Key
-	off    uint64
-	data   []byte
-	pooled bool
+	fh   fhandle.Handle
+	id   fhandle.Key
+	off  uint64
+	data []byte
 }
 
-// chunkPool recycles write-behind chunk buffers (≤ one stripe unit).
-var chunkPool sync.Pool
-
-func chunkBuf(n int) []byte {
-	if v := chunkPool.Get(); v != nil {
-		if b := *v.(*[]byte); cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
-func putChunkBuf(b []byte) {
-	b = b[:0]
-	chunkPool.Put(&b)
-}
-
-// writeBehind appends p to the sequential tail, carves off and
-// dispatches any full chunks, and returns immediately. Non-sequential
-// bytes flush the old tail first; bytes overlapping an in-flight chunk
-// drain the file so conflicting writes are never concurrently in flight.
+// writeBehind carves p's full chunks off the sequential tail, dispatches
+// them, buffers the sub-chunk remainder, and returns immediately.
+// Non-sequential bytes flush the old tail first; bytes overlapping an
+// in-flight chunk drain the file so conflicting writes are never
+// concurrently in flight.
 func (c *Client) writeBehind(fh fhandle.Handle, id fhandle.Key, off uint64, p []byte) (int, error) {
 	c.bulkMu.Lock()
 	var flush *writeTail
@@ -425,8 +419,7 @@ func (c *Client) writeBehind(fh fhandle.Handle, id fhandle.Key, off uint64, p []
 	if c.tail == nil {
 		c.tail = &writeTail{id: id, fh: fh, off: off}
 	}
-	c.tail.buf = append(c.tail.buf, p...)
-	ready := c.carveLocked()
+	ready := c.carveLocked(p)
 	c.bulkMu.Unlock()
 	for _, ch := range ready {
 		c.dispatchChunk(ch)
@@ -434,43 +427,43 @@ func (c *Client) writeBehind(fh fhandle.Handle, id fhandle.Key, off uint64, p []
 	return len(p), nil
 }
 
-// carveLocked removes full chunks from the head of the tail, copying
-// each into a pooled buffer for its worker. The sub-chunk remainder
-// stays buffered, coalescing with the next sequential write. Caller
-// holds bulkMu.
-func (c *Client) carveLocked() []wchunk {
+// carveLocked appends p to the tail, carving every full chunk off its
+// head into a pooled buffer for its worker; bytes are copied straight
+// from p, so a chunk-aligned write never passes through the tail. The
+// sub-chunk remainder stays buffered, coalescing with the next
+// sequential write. Caller holds bulkMu.
+func (c *Client) carveLocked(p []byte) []wchunk {
 	t := c.tail
-	if t == nil {
-		return nil
-	}
 	var out []wchunk
 	for {
 		end := c.chunkEnd(t.off)
 		n := int(end - t.off)
-		if len(t.buf) < n {
+		if len(t.buf)+len(p) < n {
 			break
 		}
-		buf := chunkBuf(n)
-		copy(buf, t.buf[:n])
-		out = append(out, wchunk{fh: t.fh, id: t.id, off: t.off, data: buf, pooled: true})
-		t.buf = t.buf[:copy(t.buf, t.buf[n:])]
+		buf := netsim.GetBuf(n)
+		k := copy(buf, t.buf)
+		p = p[copy(buf[k:], p):]
+		t.buf = t.buf[:0]
+		out = append(out, wchunk{fh: t.fh, id: t.id, off: t.off, data: buf})
 		t.off = end
 	}
+	t.buf = append(t.buf, p...)
 	return out
 }
 
-// dispatchTail dispatches a detached tail, including its partial final
-// chunk. Ownership of t.buf passes to the dispatched chunks, which alias
-// it; it must not be appended to again.
+// dispatchTail dispatches a detached tail's buffered bytes, each chunk
+// copied into a pooled buffer.
 func (c *Client) dispatchTail(t *writeTail) {
 	off, buf := t.off, t.buf
 	for len(buf) > 0 {
-		end := c.chunkEnd(off)
-		n := int(end - off)
+		n := int(c.chunkEnd(off) - off)
 		if n > len(buf) {
 			n = len(buf)
 		}
-		c.dispatchChunk(wchunk{fh: t.fh, id: t.id, off: off, data: buf[:n]})
+		data := netsim.GetBuf(n)
+		copy(data, buf)
+		c.dispatchChunk(wchunk{fh: t.fh, id: t.id, off: off, data: data})
 		buf = buf[n:]
 		off += uint64(n)
 	}
@@ -498,9 +491,7 @@ func (c *Client) dispatchChunk(ch wchunk) {
 			c.writeNS.RecordSince(t0)
 		}
 		c.release()
-		if ch.pooled {
-			putChunkBuf(ch.data)
-		}
+		netsim.FreeBuf(ch.data)
 		c.bulkMu.Lock()
 		f.inflight--
 		f.dropSpan(ch.off)
@@ -734,17 +725,18 @@ func (c *Client) raFinish(fh fhandle.Handle, id fhandle.Key, next uint64, eof, p
 	}
 }
 
-// prefetchWorker fills one readahead entry. It already holds a window
-// slot (taken in raFinish) and releases it when done; the entry's buffer
-// is freshly allocated and handed to the consumer, so no pooling.
+// prefetchWorker fills one readahead entry with a single READ. It
+// already holds a window slot (taken in raFinish) and releases it when
+// done. The entry keeps the decoded reply data itself; a short reply
+// without EOF leaves the entry unusable, and the consumer reads those
+// bytes on the demand path.
 func (c *Client) prefetchWorker(fh fhandle.Handle, e *raEntry) {
 	t0 := time.Now()
-	buf := make([]byte, e.want)
-	n, eof, err := c.chunkRead(fh, e.off, buf)
+	data, eof, err := c.readOnce(fh, e.off, e.want)
 	if c.readNS != nil {
 		c.readNS.RecordSince(t0)
 	}
-	e.data, e.eof, e.err = buf[:n], eof, err
+	e.data, e.eof, e.err = data, eof || len(data) == 0, err
 	close(e.ready)
 	c.release()
 }

@@ -300,3 +300,67 @@ func TestDeferredWriteErrorSurfaces(t *testing.T) {
 		t.Fatal("Commit after failed async writes returned nil")
 	}
 }
+
+// TestBulkIOLeavesBufferPoolBalanced: every pooled buffer the bulk path
+// draws — encoded calls and replies, write-behind chunks, datagrams —
+// goes back to the netsim pool. After a windowed write + commit, a
+// sequential read with readahead, a non-sequential read that resets the
+// stream, a write that invalidates prefetched entries, and Close, the
+// pool's outstanding count (gets − puts) is back where it started.
+func TestBulkIOLeavesBufferPoolBalanced(t *testing.T) {
+	outstanding := func() int64 { return netsim.PoolStats().Outstanding() }
+	before := netsim.SettledOutstanding()
+	e, _ := newBulkEnsemble(t, 4)
+	c, err := e.NewClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fh, _, err := c.Create(c.Root(), "balance", 0o644, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 2<<20)
+	rand.New(rand.NewSource(12)).Read(data)
+	const piece = 64 << 10
+	for off := 0; off < len(data); off += piece {
+		if _, err := c.Write(fh, uint64(off), data[off:off+piece], false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Commit(fh); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, piece)
+	readAt := func(off int) {
+		t.Helper()
+		n, _, err := c.Read(fh, uint64(off), buf)
+		if err != nil || n != piece || !bytes.Equal(buf, data[off:off+piece]) {
+			t.Fatalf("read at %d: %d bytes, %v (or data mismatch)", off, n, err)
+		}
+	}
+	for off := 0; off < len(data)/2; off += piece {
+		readAt(off) // sequential: readahead runs ahead of the stream
+	}
+	readAt(len(data) - piece) // breaks the stream: readahead resets
+	readAt(0)
+	readAt(piece) // prefetch is running again
+	// Overwriting the file drops the prefetched entries.
+	copy(data[3*piece:], bytes.Repeat([]byte{0xEE}, piece))
+	if _, err := c.Write(fh, 3*piece, data[3*piece:4*piece], false); err != nil {
+		t.Fatal(err)
+	}
+	readAt(2 * piece)
+	readAt(3 * piece)
+	c.Close()
+
+	// Replies to abandoned prefetches may still be crossing the fabric.
+	deadline := time.Now().Add(5 * time.Second)
+	for outstanding() != before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := outstanding(); got != before {
+		ps := netsim.PoolStats()
+		t.Fatalf("netsim pool: %d buffers outstanding after Close, want %d (gets %d, puts %d)",
+			got, before, ps.Gets, ps.Puts)
+	}
+}

@@ -33,11 +33,17 @@ func (s *Server) optLocalAttr(fh fhandle.Handle) nfsproto.OptAttr {
 // reference if the cell lives elsewhere (lookup crossing a site boundary,
 // §4.3).
 func (s *Server) childAttr(child fhandle.Handle) nfsproto.OptAttr {
+	// Copy the cell's attributes under the lock: a concurrent SETATTR
+	// (or attribute writeback) updates them in place.
 	s.mu.Lock()
 	c := s.st.attrs[child.FileID]
+	var opt nfsproto.OptAttr
+	if c != nil {
+		opt = nfsproto.Some(c.at)
+	}
 	s.mu.Unlock()
 	if c != nil {
-		return nfsproto.Some(c.at)
+		return opt
 	}
 	site := child.Site % uint32(s.dirSites())
 	if site == s.site {

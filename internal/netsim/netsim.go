@@ -84,18 +84,33 @@ func Build(src, dst Addr, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("netsim: datagram size %d exceeds max %d", total, MaxDatagram)
 	}
 	d := GetBuf(total)
+	copy(d[HeaderSize:], payload)
+	if err := Seal(d, src, dst); err != nil {
+		FreeBuf(d)
+		return nil, err
+	}
+	return d, nil
+}
+
+// Seal fills in the header of a datagram from src to dst whose payload
+// is already in place at d[HeaderSize:], and computes the checksum: Build
+// without the copy, for senders that encode straight into a pooled
+// datagram. The header bytes' previous contents do not matter.
+func Seal(d []byte, src, dst Addr) error {
+	if len(d) < HeaderSize || len(d) > MaxDatagram {
+		return fmt.Errorf("netsim: datagram size %d outside [%d, %d]", len(d), HeaderSize, MaxDatagram)
+	}
 	binary.BigEndian.PutUint32(d[OffSrcHost:], src.Host)
 	binary.BigEndian.PutUint32(d[OffDstHost:], dst.Host)
 	binary.BigEndian.PutUint16(d[OffSrcPort:], src.Port)
 	binary.BigEndian.PutUint16(d[OffDstPort:], dst.Port)
-	binary.BigEndian.PutUint32(d[OffLength:], uint32(total))
-	copy(d[HeaderSize:], payload)
-	// Zero the checksum and reserved fields before summing: the pooled
+	binary.BigEndian.PutUint32(d[OffLength:], uint32(len(d)))
+	// Zero the checksum and reserved fields before summing: a pooled
 	// buffer may hold stale bytes of its previous datagram at these offsets.
 	binary.BigEndian.PutUint16(d[OffChecksum:], 0)
 	binary.BigEndian.PutUint16(d[offReserved:], 0)
 	binary.BigEndian.PutUint16(d[OffChecksum:], checksum.Sum(d))
-	return d, nil
+	return nil
 }
 
 // ErrBadDatagram indicates a malformed or corrupt datagram.
@@ -393,20 +408,47 @@ func (n *Network) BindAny(host uint32) (*Port, error) {
 // Addr returns the port's bound address.
 func (p *Port) Addr() Addr { return p.addr }
 
-// Close releases the port. Pending datagrams are discarded.
+// Close releases the port. Datagrams still queued on it go back to the
+// buffer pool.
 func (p *Port) Close() {
 	p.once.Do(func() {
 		p.net.mu.Lock()
 		delete(p.net.ports, p.addr)
 		p.net.mu.Unlock()
 		close(p.closed)
+		p.drain()
 	})
+}
+
+// drain frees every datagram queued on a closed port.
+func (p *Port) drain() {
+	for {
+		select {
+		case d := <-p.ch:
+			FreeBuf(d)
+		default:
+			return
+		}
+	}
 }
 
 // SendTo builds a datagram to dst carrying payload and sends it.
 func (p *Port) SendTo(dst Addr, payload []byte) error {
 	d, err := Build(p.addr, dst, payload)
 	if err != nil {
+		return err
+	}
+	return p.net.send(d)
+}
+
+// SendDatagram sends d — a pooled buffer holding a payload after
+// HeaderSize bytes of headroom — to dst: the port seals the header in
+// place and hands the buffer to the network, which takes ownership.
+// It is SendTo without the copy, for senders that encode or read
+// straight into a datagram. On error d has already been freed.
+func (p *Port) SendDatagram(dst Addr, d []byte) error {
+	if err := Seal(d, p.addr, dst); err != nil {
+		FreeBuf(d)
 		return err
 	}
 	return p.net.send(d)
@@ -554,6 +596,13 @@ func (n *Network) enqueue(p *Port, d []byte) {
 	select {
 	case p.ch <- d:
 		n.stats.delivered.Add(1)
+		select {
+		case <-p.closed:
+			// Close ran while we delivered and may have drained the
+			// queue before d landed in it: free what is left.
+			p.drain()
+		default:
+		}
 	default:
 		// Queue overrun: drop, like a NIC ring buffer.
 		n.stats.dropped.Add(1)

@@ -3,6 +3,7 @@ package netsim
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 	"unsafe"
 )
 
@@ -18,13 +19,17 @@ import (
 // handing the buffer to the network transfers ownership.
 //
 //   - Build/GetBuf give the caller an owned buffer.
-//   - send/Inject take ownership; if the network drops the datagram (tap
-//     drop, configured loss, unbound port, queue overrun) the network frees
-//     it.
+//   - send/Inject/Port.SendDatagram take ownership; if the network drops
+//     the datagram (tap drop, configured loss, unbound port, queue
+//     overrun) the network frees it.
 //   - A tap returning Consumed takes ownership and must either reinject the
 //     buffer or free it.
 //   - Recv transfers ownership to the receiver, who frees the buffer once
 //     done with it (and with anything aliasing it, e.g. parsed RPC bodies).
+//     Closing a port frees the datagrams still queued on it.
+//   - An encoder drawing from BufPool owns every buffer it grows
+//     through, frees each one it outgrows, and hands its final buffer to
+//     the caller (see xdr.NewPooledEncoder).
 //
 // FreeBuf ignores buffers whose capacity is not exactly a pool class, so
 // externally allocated datagrams may flow through the same paths safely.
@@ -41,9 +46,9 @@ var bufPools [len(bufClasses)]sync.Pool
 
 // BufPoolStats counts buffer pool traffic.
 type BufPoolStats struct {
-	Gets    uint64 // buffers handed out by GetBuf
-	Puts    uint64 // buffers returned by FreeBuf
-	News    uint64 // pool misses that allocated a fresh buffer
+	Gets    uint64 // pool-class buffers handed out by GetBuf
+	Puts    uint64 // pool-class buffers returned by FreeBuf
+	News    uint64 // fresh allocations: pool misses and oversized requests
 	Ignored uint64 // FreeBuf calls on foreign (non-class) buffers
 }
 
@@ -57,6 +62,29 @@ func PoolStats() BufPoolStats {
 		News:    poolNews.Load(),
 		Ignored: poolIgnored.Load(),
 	}
+}
+
+// Outstanding is Gets − Puts: pool buffers some owner still holds.
+func (s BufPoolStats) Outstanding() int64 { return int64(s.Gets) - int64(s.Puts) }
+
+// SettledOutstanding waits until the pool's outstanding count has held
+// still for five 5 ms polls (at most 2 s) and returns it. Datagrams still
+// crossing a fabric — delayed, reordered or duplicated by a fault model,
+// or replies to abandoned calls — are freed milliseconds after their
+// senders stop, so a balance check takes its baseline from a count they
+// no longer move.
+func SettledOutstanding() int64 {
+	last := PoolStats().Outstanding()
+	deadline := time.Now().Add(2 * time.Second)
+	for stable := 0; stable < 5 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		if cur := PoolStats().Outstanding(); cur != last {
+			last, stable = cur, 0
+		} else {
+			stable++
+		}
+	}
+	return last
 }
 
 // classFor returns the index of the smallest class holding n bytes, or -1
@@ -85,14 +113,15 @@ func classOf(c int) int {
 }
 
 // GetBuf returns an owned buffer of length n from the pool. The contents
-// are unspecified.
+// are unspecified. A request beyond the largest class is a plain heap
+// allocation, outside the Gets/Puts balance (FreeBuf ignores it).
 func GetBuf(n int) []byte {
-	poolGets.Add(1)
 	cls := classFor(n)
 	if cls < 0 {
 		poolNews.Add(1)
 		return make([]byte, n)
 	}
+	poolGets.Add(1)
 	if p, _ := bufPools[cls].Get().(*byte); p != nil {
 		return unsafe.Slice(p, bufClasses[cls])[:n]
 	}
@@ -116,3 +145,13 @@ func FreeBuf(d []byte) {
 	d = d[:1]
 	bufPools[cls].Put(&d[0])
 }
+
+// BufPool is the datagram pool as an xdr.Allocator: a pooled encoder
+// built on it encodes RPC messages straight into pool buffers.
+type BufPool struct{}
+
+// Get implements xdr.Allocator with GetBuf.
+func (BufPool) Get(n int) []byte { return GetBuf(n) }
+
+// Free implements xdr.Allocator with FreeBuf.
+func (BufPool) Free(b []byte) { FreeBuf(b) }

@@ -72,3 +72,25 @@ func TestPooledRoundTrip(t *testing.T) {
 		t.Fatal("pool unused")
 	}
 }
+
+// TestCloseFreesQueuedDatagrams: datagrams still queued on a port when
+// it closes go back to the pool instead of leaking out of the balance.
+func TestCloseFreesQueuedDatagrams(t *testing.T) {
+	n := New(Config{})
+	a, _ := n.Bind(Addr{Host: 1, Port: 1})
+	defer a.Close()
+	b, _ := n.Bind(Addr{Host: 2, Port: 2})
+	before := SettledOutstanding()
+	for i := 0; i < 3; i++ {
+		if err := a.SendTo(b.Addr(), []byte("queued")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := PoolStats().Outstanding(); got != before+3 {
+		t.Fatalf("%d buffers outstanding with 3 queued, want %d", got, before+3)
+	}
+	b.Close()
+	if got := PoolStats().Outstanding(); got != before {
+		t.Fatalf("%d buffers outstanding after Close, want %d", got, before)
+	}
+}

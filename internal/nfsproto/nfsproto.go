@@ -54,6 +54,32 @@ const (
 	ProcCommit   Proc = 21
 )
 
+// RFC 1813 procedures Slice does not implement, named for Idempotent.
+const (
+	ProcReadDirPlus Proc = 17
+	ProcFsInfo      Proc = 19
+	ProcPathConf    Proc = 20
+)
+
+// Idempotent reports whether call proc of prog/vers can be executed again
+// without harm, so a server's duplicate-request cache need not keep its
+// reply: a retransmission simply re-executes. The set is the NFSv3 part
+// of Linux nfsd's RC_NOCACHE class — the procedures that only read state
+// (Juszczak, "Improving the Performance and Correctness of an NFS
+// Server", USENIX Winter 1989). Every other call, of any program, is
+// non-idempotent and keeps its reply cached.
+func Idempotent(prog, vers, proc uint32) bool {
+	if prog != Program || vers != Version {
+		return false
+	}
+	switch Proc(proc) {
+	case ProcNull, ProcGetAttr, ProcLookup, ProcAccess, ProcReadLink, ProcRead,
+		ProcReadDir, ProcReadDirPlus, ProcFsStat, ProcFsInfo, ProcPathConf:
+		return true
+	}
+	return false
+}
+
 // String returns the conventional procedure name.
 func (p Proc) String() string {
 	switch p {
@@ -541,6 +567,29 @@ func (m *ReadRes) Decode(d *xdr.Decoder) error {
 	}
 	m.Data, err = d.Opaque()
 	return err
+}
+
+// EncodeReadFill encodes a successful, attribute-less READ result of at
+// most max bytes whose data fill reads straight into the reply buffer, so
+// the bytes are never staged in a buffer of their own. fill returns the
+// byte count and the EOF flag; the encoding is what
+// ReadRes{Status: OK, Count: n, EOF: eof, Data: ...} would produce.
+func EncodeReadFill(e *xdr.Encoder, max int, fill func(p []byte) (int, bool)) {
+	e.PutUint32(uint32(OK))
+	e.PutBool(false) // no post-op attributes
+	hdr := e.Len()
+	e.PutUint32(0) // count, patched below
+	e.PutBool(false)
+	var n int
+	var eof bool
+	e.PutOpaqueFill(max, func(p []byte) int {
+		n, eof = fill(p)
+		return n
+	})
+	_ = xdr.PutUint32At(e.Bytes(), hdr, uint32(n))
+	if eof {
+		_ = xdr.PutUint32At(e.Bytes(), hdr+4, 1)
+	}
 }
 
 // ---------------------------------------------------------------- WRITE

@@ -1,6 +1,7 @@
 package oncrpc
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -122,5 +123,60 @@ func TestAsyncCallsAfterClose(t *testing.T) {
 	p := cli.CallStart(7, 1, 3, nil)
 	if _, err := p.Await(); err == nil {
 		t.Fatal("CallStart after Close succeeded")
+	}
+}
+
+// TestCallReturnsWithPoolBalanced: by the time a call returns, every
+// pooled buffer it touched — the encoded call, the request datagram, the
+// server's reply datagram — is back in the pool. The server hands its
+// reply to the network instead of freeing it after the send, and the
+// client frees the reply datagram before it wakes the caller, so a
+// caller can never observe a buffer still outstanding.
+func TestCallReturnsWithPoolBalanced(t *testing.T) {
+	n := netsim.New(netsim.Config{})
+	sp, _ := n.Bind(netsim.Addr{Host: 2, Port: 2049})
+	srv := NewServer(sp, echoHandler)
+	defer srv.Close()
+	cp, _ := n.Bind(netsim.Addr{Host: 1, Port: 100})
+	// A retransmission's late duplicate reply would legitimately still
+	// be in flight when its call returns: the timeout is long enough that
+	// no call here retransmits, even on a loaded machine.
+	c := NewClient(cp, srv.Addr(), ClientConfig{Timeout: 10 * time.Second})
+	defer c.Close()
+	if _, err := c.Call(7, 1, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	before := netsim.SettledOutstanding()
+	payload := make([]byte, 3000)
+	for i := 0; i < 500; i++ {
+		if _, err := c.Call(7, 1, 1, func(e *xdr.Encoder) { e.PutOpaque(payload) }); err != nil {
+			t.Fatal(err)
+		}
+		if got := netsim.PoolStats().Outstanding(); got != before {
+			t.Fatalf("call %d returned with %d pool buffers outstanding, want %d", i, got, before)
+		}
+	}
+}
+
+// TestCloseFailsInFlightCalls: Close ends calls still waiting for a
+// reply at once, and their pooled payloads go back to the pool.
+func TestCloseFailsInFlightCalls(t *testing.T) {
+	n := netsim.New(netsim.Config{})
+	cp, _ := n.Bind(netsim.Addr{Host: 1, Port: 100})
+	before := netsim.SettledOutstanding()
+	// Nothing listens at the server address: no reply ever comes.
+	c := NewClient(cp, netsim.Addr{Host: 9, Port: 9}, ClientConfig{Timeout: 2 * time.Second, Retries: 1})
+	p := c.CallStart(7, 1, 1, nil)
+	time.Sleep(10 * time.Millisecond)
+	start := time.Now()
+	c.Close()
+	if _, err := p.Await(); !errors.Is(err, netsim.ErrClosed) {
+		t.Fatalf("in-flight call after Close: %v, want netsim.ErrClosed", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("in-flight call took %v to fail after Close", d)
+	}
+	if got := netsim.PoolStats().Outstanding(); got != before {
+		t.Fatalf("%d pool buffers outstanding after Close, want %d", got, before)
 	}
 }

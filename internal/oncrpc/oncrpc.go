@@ -12,7 +12,9 @@
 // recovery the Slice architecture relies on when the µproxy or the network
 // drops packets (§2.1). Servers keep a duplicate-request cache so that
 // retransmitted non-idempotent operations (e.g. CREATE, REMOVE) observe
-// their original reply rather than re-executing.
+// their original reply rather than re-executing. Replies to idempotent
+// NFS procedures (nfsproto.Idempotent: READ, LOOKUP, GETATTR, ...) are
+// not kept; their retransmissions simply execute again.
 package oncrpc
 
 import (
@@ -25,6 +27,7 @@ import (
 	"time"
 
 	"slice/internal/netsim"
+	"slice/internal/nfsproto"
 	"slice/internal/xdr"
 )
 
@@ -57,9 +60,17 @@ const (
 	ReplyHeader = 12 // reply body begins here
 )
 
-// EncodeCall assembles an RPC call message.
+// EncodeCall assembles an RPC call message in a pooled buffer (netsim
+// datagram pool memory). The caller owns the buffer and returns it with
+// netsim.FreeBuf once the message has been sent.
 func EncodeCall(xid, prog, vers, proc uint32, args func(*xdr.Encoder)) []byte {
-	e := xdr.NewEncoder(CallHeader + 128)
+	return encodeCall(xid, prog, vers, proc, args).Bytes()
+}
+
+// encodeCall starts a pooled call encoder; the trace trailer, if any, is
+// appended to it before the caller takes the bytes.
+func encodeCall(xid, prog, vers, proc uint32, args func(*xdr.Encoder)) *xdr.Encoder {
+	e := xdr.NewPooledEncoder(netsim.BufPool{}, 0, CallHeader+128)
 	e.PutUint32(xid)
 	e.PutUint32(MsgCall)
 	e.PutUint32(prog)
@@ -68,19 +79,39 @@ func EncodeCall(xid, prog, vers, proc uint32, args func(*xdr.Encoder)) []byte {
 	if args != nil {
 		args(e)
 	}
-	return e.Bytes()
+	return e
 }
 
-// EncodeReply assembles an RPC reply message.
+// EncodeReply assembles an RPC reply message in a pooled buffer, owned by
+// the caller like EncodeCall's.
 func EncodeReply(xid, accept uint32, res func(*xdr.Encoder)) []byte {
-	e := xdr.NewEncoder(ReplyHeader + 128)
+	return encodeReply(0, xid, accept, res).Bytes()
+}
+
+// EncodeReplyDatagram encodes a reply from src to dst straight into a
+// pooled datagram, header and checksum included, ready for
+// netsim.Network.Inject: the reply is encoded once, in place, with no
+// payload buffer to copy out of. The caller owns the datagram.
+func EncodeReplyDatagram(src, dst netsim.Addr, xid, accept uint32, res func(*xdr.Encoder)) ([]byte, error) {
+	d := encodeReply(netsim.HeaderSize, xid, accept, res).Bytes()
+	if err := netsim.Seal(d, src, dst); err != nil {
+		netsim.FreeBuf(d)
+		return nil, err
+	}
+	return d, nil
+}
+
+// encodeReply starts a pooled reply encoder with headroom bytes reserved
+// ahead of the message.
+func encodeReply(headroom int, xid, accept uint32, res func(*xdr.Encoder)) *xdr.Encoder {
+	e := xdr.NewPooledEncoder(netsim.BufPool{}, headroom, headroom+ReplyHeader+128)
 	e.PutUint32(xid)
 	e.PutUint32(MsgReply)
 	e.PutUint32(accept)
 	if res != nil && accept == AcceptSuccess {
 		res(e)
 	}
-	return e.Bytes()
+	return e
 }
 
 // Call is a decoded call header plus its argument body. When the call
@@ -101,6 +132,10 @@ type Reply struct {
 	Xid    uint32
 	Accept uint32
 	Body   []byte // aliases the datagram payload
+
+	// stray marks the client's internal retransmission prompt: a reply
+	// to the call arrived from an address it was never sent to.
+	stray bool
 }
 
 // ErrBadMessage indicates a malformed RPC payload.
@@ -162,6 +197,10 @@ func ParseReply(payload []byte) (Reply, error) {
 // Conn is the datagram endpoint RPC runs over. *netsim.Port implements it
 // natively; internal/udpgate adapts a real UDP socket so clients can reach
 // a Slice ensemble across processes.
+//
+// SendTo must not retain payload past its return: callers send pooled
+// buffers and free them afterwards (a client reuses one encoded call for
+// every retransmission, then frees it).
 type Conn interface {
 	SendTo(dst netsim.Addr, payload []byte) error
 	Recv(timeout time.Duration) ([]byte, error)
@@ -196,7 +235,8 @@ type KeyResolver func(key uint64) netsim.Addr
 type ClientConfig struct {
 	// Timeout is the initial retransmission timeout (default 50ms).
 	Timeout time.Duration
-	// Retries is the maximum number of transmissions (default 5).
+	// Retries is the maximum number of timed transmissions (default 5).
+	// Stray-prompted retransmissions (see transact) come on top of these.
 	Retries int
 	// Backoff multiplies the timeout after each retransmission (default 2).
 	Backoff int
@@ -342,9 +382,10 @@ type Client struct {
 	server netsim.Addr
 	cfg    ClientConfig
 
-	nextXid atomic.Uint32
-	closed  atomic.Bool
-	shards  [numPendingShards]pendingShard
+	nextXid   atomic.Uint32
+	done      chan struct{} // closed by Close: in-flight calls give up
+	closeOnce sync.Once
+	shards    [numPendingShards]pendingShard
 
 	// retransmissions counts retransmitted calls, for tests and stats.
 	retransmissions atomic.Uint64
@@ -365,6 +406,7 @@ func NewClient(port Conn, server netsim.Addr, cfg ClientConfig) *Client {
 		port:   port,
 		server: server,
 		cfg:    cfg,
+		done:   make(chan struct{}),
 	}
 	c.nextXid.Store(seed - 1) // Add(1) on first register yields the seed
 	for i := range c.shards {
@@ -405,10 +447,13 @@ func (c *Client) StrayReplies() uint64 {
 	return c.strayReplies.Load()
 }
 
-// Close shuts the client down; in-flight calls fail.
+// Close shuts the client down; in-flight calls fail at once with
+// netsim.ErrClosed, releasing their pooled payloads.
 func (c *Client) Close() {
-	c.closed.Store(true)
-	c.port.Close()
+	c.closeOnce.Do(func() {
+		close(c.done)
+		c.port.Close()
+	})
 }
 
 // shard returns the pending shard owning xid.
@@ -418,11 +463,13 @@ func (c *Client) shard(xid uint32) *pendingShard {
 
 // register allocates an xid and its pending-call record.
 func (c *Client) register() (uint32, *pendingCall, error) {
-	if c.closed.Load() {
+	select {
+	case <-c.done:
 		return 0, nil, netsim.ErrClosed
+	default:
 	}
 	xid := c.nextXid.Add(1)
-	pc := &pendingCall{ch: make(chan Reply, 1)}
+	pc := &pendingCall{ch: make(chan Reply, 2)} // the reply + one stray prompt
 	s := c.shard(xid)
 	s.mu.Lock()
 	s.m[xid] = pc
@@ -475,22 +522,35 @@ func (c *Client) recvLoop() {
 			// Matching xid, wrong peer: a stray reply from an address
 			// this call was never sent to. Leave the call registered —
 			// the real peer's answer (or a retransmission's) still
-			// matches — and drop the stray.
+			// matches — and drop the stray. It still tells the caller
+			// something: the call was answered, but the answer did not
+			// come back through the address it was sent to (an
+			// interposed router lost the request's soft state), so
+			// prompt a retransmission now instead of at the timeout.
+			// At most one prompt is queued; ch has room for it and the
+			// real reply, so that send below never blocks.
 			ok = false
 			c.strayReplies.Add(1)
+			if len(pc.ch) == 0 {
+				pc.ch <- Reply{Xid: rep.Xid, stray: true}
+			}
 		} else if ok {
 			delete(s.m, rep.Xid)
 		}
 		s.mu.Unlock()
 		if ok {
-			// Copy the body: the datagram buffer goes back to the pool.
-			// The copy is owned by the awaiting caller; duplicate
-			// deliveries of the same xid find no pending entry and are
-			// dropped above, so the buffered send can never block.
+			// Copy the body: the datagram buffer goes back to the pool —
+			// before the caller wakes, so a caller that has its reply
+			// never sees the buffer outstanding. The copy is owned by
+			// the awaiting caller; duplicate deliveries of the same xid
+			// find no pending entry and are dropped above, so the
+			// buffered send can never block.
 			body := make([]byte, len(rep.Body))
 			copy(body, rep.Body)
 			rep.Body = body
+			netsim.FreeBuf(d)
 			pc.ch <- rep
+			continue
 		}
 		netsim.FreeBuf(d)
 	}
@@ -525,51 +585,123 @@ func (c *Client) call(key uint64, prog, vers, proc uint32, args func(*xdr.Encode
 		return nil, err
 	}
 	defer c.unregister(xid)
-	payload := EncodeCall(xid, prog, vers, proc, args)
+	e := encodeCall(xid, prog, vers, proc, args)
 	if traced {
-		payload = AppendCallTrace(payload, traceID)
+		PutCallTrace(e, traceID)
 	}
-	return c.transact(key, xid, proc, payload, pc.ch)
+	return c.transact(key, xid, proc, e.Bytes(), pc.ch)
 }
+
+// strayPace divides the initial timeout into the minimum gap between
+// stray-prompted retransmissions.
+const strayPace = 16
 
 // transact runs the retransmit/timeout loop for one registered call. It
 // is shared by the synchronous and asynchronous call paths, so every
 // concurrent call gets the same backoff, jitter, and re-resolve
-// behaviour.
+// behaviour. It owns the pooled payload: every retransmission resends
+// the same bytes, and the buffer goes back to the pool when the call
+// ends, however it ends.
+//
+// Besides the timed retransmissions, a stray reply (see recvLoop)
+// prompts one at once: the router that lost the request's soft state
+// rebuilds it from the retransmission, so the call recovers in a round
+// trip rather than a timeout. Prompted retransmissions are paced to one
+// per Timeout/strayPace since the last transmission, so the strays of a
+// fanned-out call — one per replica — cannot multiply its traffic.
 func (c *Client) transact(key uint64, xid, proc uint32, payload []byte, ch chan Reply) ([]byte, error) {
+	defer netsim.FreeBuf(payload)
 	timeout := c.cfg.Timeout
-	dst := c.target(key)
-	for attempt := 0; attempt < c.cfg.Retries; attempt++ {
-		if attempt > 0 {
-			c.retransmissions.Add(1)
-			// Re-resolve before every retransmission: if the server was
-			// restarted elsewhere while we waited, the retry goes to the
-			// replacement instead of the corpse.
-			dst = c.target(key)
+	pace := c.cfg.Timeout / strayPace
+	var (
+		dst     netsim.Addr
+		sent    time.Time        // when the latest transmission went out
+		timer   *time.Timer      // the timed retransmission schedule
+		prompt  *time.Timer      // paces a stray-prompted retransmission
+		promptC <-chan time.Time // prompt.C while one is due, else nil
+	)
+	defer func() {
+		if timer != nil {
+			timer.Stop()
 		}
+		if prompt != nil {
+			prompt.Stop()
+		}
+	}()
+	attempt, timed := 1, true
+	for {
+		// Resolve before every transmission: if the server was
+		// restarted elsewhere while we waited, the retry goes to the
+		// replacement instead of the corpse.
+		dst = c.target(key)
 		c.noteSent(xid, dst)
 		if err := c.port.SendTo(dst, payload); err != nil {
 			return nil, err
 		}
-		wait := timeout
-		if c.cfg.Jitter > 0 {
-			frac := float64(randomUint32()) / (1 << 32)
-			wait += time.Duration(float64(timeout) * c.cfg.Jitter * frac)
-		}
-		timer := time.NewTimer(wait)
-		select {
-		case rep := <-ch:
-			timer.Stop()
-			if rep.Accept != AcceptSuccess {
-				return nil, &ErrRejected{Accept: rep.Accept}
+		sent = time.Now()
+		if timed {
+			wait := timeout
+			if c.cfg.Jitter > 0 {
+				frac := float64(randomUint32()) / (1 << 32)
+				wait += time.Duration(float64(timeout) * c.cfg.Jitter * frac)
 			}
-			return rep.Body, nil
-		case <-timer.C:
-			timeout *= time.Duration(c.cfg.Backoff)
+			if timer == nil {
+				timer = time.NewTimer(wait)
+			} else {
+				timer.Reset(wait) // fired and drained below
+			}
+			timed = false
 		}
+	await:
+		for {
+			select {
+			case rep := <-ch:
+				if !rep.stray {
+					if rep.Accept != AcceptSuccess {
+						return nil, &ErrRejected{Accept: rep.Accept}
+					}
+					return rep.Body, nil
+				}
+				if promptC != nil {
+					continue // a prompted retransmission is already due
+				}
+				if d := pace - time.Since(sent); d > 0 {
+					if prompt == nil {
+						prompt = time.NewTimer(d)
+					} else {
+						prompt.Reset(d)
+					}
+					promptC = prompt.C
+					continue
+				}
+				break await
+			case <-promptC:
+				promptC = nil
+				break await
+			case <-timer.C:
+				if attempt == c.cfg.Retries {
+					return nil, fmt.Errorf("%w: proc %d to %s after %d attempts",
+						ErrTimedOut, proc, dst, c.cfg.Retries)
+				}
+				attempt, timed = attempt+1, true
+				timeout *= time.Duration(c.cfg.Backoff)
+				if promptC != nil {
+					// The timed retransmission supersedes the prompted one.
+					if !prompt.Stop() {
+						select {
+						case <-prompt.C:
+						default:
+						}
+					}
+					promptC = nil
+				}
+				break await
+			case <-c.done:
+				return nil, netsim.ErrClosed
+			}
+		}
+		c.retransmissions.Add(1)
 	}
-	return nil, fmt.Errorf("%w: proc %d to %s after %d attempts",
-		ErrTimedOut, proc, dst, c.cfg.Retries)
 }
 
 // ---------------------------------------------------------- async calls
@@ -587,11 +719,13 @@ type pendingResult struct {
 
 // CallStart issues proc of prog/vers asynchronously and returns a
 // Pending handle. The argument encoder runs synchronously before
-// CallStart returns — the caller may reuse or modify any buffers the
-// encoder read as soon as CallStart returns (transfer of ownership is by
-// copy into the call payload). Retransmission, backoff, and re-resolve
-// run in the background exactly as for Call; any number of calls may be
-// in flight concurrently on one client, bounded only by the caller.
+// CallStart returns, copying everything it reads into the call's pooled
+// payload, so the caller may reuse or modify those buffers as soon as
+// CallStart returns. The background transmitter owns the payload through
+// every retransmission and frees it when the call ends. Retransmission,
+// backoff, and re-resolve run exactly as for Call; any number of calls
+// may be in flight concurrently on one client, bounded only by the
+// caller.
 func (c *Client) CallStart(prog, vers, proc uint32, args func(*xdr.Encoder)) *Pending {
 	return c.CallStartKeyed(0, prog, vers, proc, args)
 }
@@ -615,8 +749,11 @@ func (c *Client) CallStartKeyed(key uint64, prog, vers, proc uint32, args func(*
 	return p
 }
 
-// Await blocks until the call completes and returns the reply body (a
-// fresh copy owned by the caller) or the call's error.
+// Await blocks until the call completes and returns the reply body or
+// the call's error. The body is a heap copy of the reply datagram's
+// result bytes, owned by the caller and never returned to any pool;
+// decoded fields that alias it (e.g. READ data) stay valid for as long
+// as the caller keeps them.
 func (p *Pending) Await() ([]byte, error) {
 	r := <-p.done
 	return r.body, r.err
@@ -668,9 +805,10 @@ type callID struct {
 // one histogram sample, a single atomic add).
 type ServerObserver func(prog, vers, proc uint32, handlerNS uint64)
 
-// Server accepts RPC calls on a port and dispatches them to a handler.
+// Server accepts RPC calls on a fabric port and dispatches them to a
+// handler.
 type Server struct {
-	port    Conn
+	port    *netsim.Port
 	handler Handler
 	obs     atomic.Pointer[ServerObserver]
 
@@ -685,11 +823,12 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// DRCSize is the number of replies retained for duplicate suppression.
+// DRCSize is the number of non-idempotent replies retained for
+// duplicate suppression.
 const DRCSize = 1024
 
 // NewServer starts serving calls arriving on port with handler.
-func NewServer(port Conn, handler Handler) *Server {
+func NewServer(port *netsim.Port, handler Handler) *Server {
 	s := &Server{
 		port:     port,
 		handler:  handler,
@@ -794,33 +933,46 @@ func (s *Server) serveLoop() {
 				t0 = time.Now()
 			}
 			res, accept := s.handler.ServeRPC(call, from)
+			// The reply is encoded straight into the datagram that carries
+			// it. Encoding is part of the server's time: a READ reply's
+			// data is read from the store straight into that datagram.
+			e := encodeReply(netsim.HeaderSize, call.Xid, accept, res)
 			var handlerNS uint64
 			if timed {
 				handlerNS = uint64(time.Since(t0))
+				PutReplyTrace(e, call.Trace, handlerNS)
 			}
 			if obsFn != nil {
 				(*obsFn)(call.Program, call.Version, call.Proc, handlerNS)
 			}
-			reply := EncodeReply(call.Xid, accept, res)
-			if timed {
-				reply = AppendReplyTrace(reply, call.Trace, handlerNS)
-			}
+			out := e.Bytes()
+			reply := out[netsim.HeaderSize:]
 			// call.Args (and possibly res) alias the request datagram;
-			// EncodeReply copied everything out, so it can go back now.
+			// the reply holds copies of everything, so it can go back now.
 			netsim.FreeBuf(d)
 
+			// Only non-idempotent replies are cached, as an exact-size
+			// heap copy: the DRC outlives the reply datagram, which the
+			// network owns once it is sent.
+			var kept []byte
+			if !nfsproto.Idempotent(call.Program, call.Version, call.Proc) {
+				kept = make([]byte, len(reply))
+				copy(kept, reply)
+			}
 			s.mu.Lock()
 			delete(s.inflight, key)
-			// Evict the slot we are about to reuse.
-			if old := &s.drcRing[s.drcNext]; old.reply != nil {
-				delete(s.drc, old.key)
+			if kept != nil {
+				// Evict the slot we are about to reuse.
+				if old := &s.drcRing[s.drcNext]; old.reply != nil {
+					delete(s.drc, old.key)
+				}
+				s.drcRing[s.drcNext] = drcEntry{key: key, id: id, reply: kept}
+				s.drc[key] = s.drcNext
+				s.drcNext = (s.drcNext + 1) % DRCSize
 			}
-			s.drcRing[s.drcNext] = drcEntry{key: key, id: id, reply: reply}
-			s.drc[key] = s.drcNext
-			s.drcNext = (s.drcNext + 1) % DRCSize
 			s.mu.Unlock()
 
-			_ = s.port.SendTo(from, reply)
+			_ = s.port.SendDatagram(from, out)
 		}(call, h.Src, key, id, d)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"slice/internal/netsim"
+	"slice/internal/nfsproto"
 	"slice/internal/xdr"
 )
 
@@ -533,6 +534,88 @@ func TestStrayReplyRejected(t *testing.T) {
 	}
 }
 
+// TestStrayReplyPromptsRetransmission: a stray reply is never accepted,
+// but it tells the client its call was answered and the answer went
+// astray (an interposed router lost the request's soft state), so the
+// client retransmits after Timeout/strayPace instead of the full
+// timeout. A burst of strays — one per replica of a fanned-out call —
+// prompts a single retransmission, not one each.
+func TestStrayReplyPromptsRetransmission(t *testing.T) {
+	n := netsim.New(netsim.Config{})
+	sp, _ := n.Bind(netsim.Addr{Host: 2, Port: 2049})
+	imposter, _ := n.Bind(netsim.Addr{Host: 9, Port: 9})
+	cp, _ := n.Bind(netsim.Addr{Host: 1, Port: 100})
+	const timeout = 2 * time.Second
+	cli := NewClient(cp, sp.Addr(), ClientConfig{Timeout: timeout, Retries: 1, Jitter: -1})
+	defer cli.Close()
+
+	type result struct {
+		transmissions int
+		err           error
+	}
+	done := make(chan result, 1)
+	go func() {
+		d, err := sp.Recv(0)
+		if err != nil {
+			done <- result{err: err}
+			return
+		}
+		call, err := ParseCall(netsim.Payload(d))
+		netsim.FreeBuf(d)
+		if err != nil {
+			done <- result{err: err}
+			return
+		}
+		for i := 0; i < 3; i++ {
+			stray := EncodeReply(call.Xid, AcceptSuccess, func(e *xdr.Encoder) { e.PutUint32(0xBAD) })
+			_ = imposter.SendTo(cp.Addr(), stray)
+			netsim.FreeBuf(stray)
+		}
+		// The prompted retransmission arrives well before the timeout…
+		d, err = sp.Recv(timeout / 2)
+		if err != nil {
+			done <- result{transmissions: 1, err: err}
+			return
+		}
+		netsim.FreeBuf(d)
+		// …and no other follows it: the burst was one prompt.
+		count := 2
+		for {
+			d, err := sp.Recv(4 * timeout / strayPace)
+			if err != nil {
+				break
+			}
+			netsim.FreeBuf(d)
+			count++
+		}
+		real := EncodeReply(call.Xid, AcceptSuccess, func(e *xdr.Encoder) { e.PutUint32(0x600D) })
+		_ = sp.SendTo(cp.Addr(), real)
+		netsim.FreeBuf(real)
+		done <- result{transmissions: count}
+	}()
+
+	body, err := cli.Call(7, 1, 3, nil)
+	if err != nil {
+		t.Fatalf("call failed: %v", err)
+	}
+	if v, _ := xdr.NewDecoder(body).Uint32(); v != 0x600D {
+		t.Fatalf("got body %x, want the real server's reply", v)
+	}
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("server saw %d transmission(s), then: %v", r.transmissions, r.err)
+	}
+	if r.transmissions != 2 {
+		t.Fatalf("server saw %d transmissions, want 2 (the call and one prompted retransmission)", r.transmissions)
+	}
+	if got := cli.StrayReplies(); got != 3 {
+		t.Fatalf("StrayReplies = %d, want 3", got)
+	}
+	if got := cli.Retransmissions(); got != 1 {
+		t.Fatalf("Retransmissions = %d, want 1", got)
+	}
+}
+
 // TestDRCVerifiesCallIdentity is the regression test for cross-client
 // reply replay: the DRC used to key replays on {src, xid} alone, so when
 // a fabric source address was recycled (gateway synthetic-host reuse plus
@@ -591,5 +674,122 @@ func TestDRCVerifiesCallIdentity(t *testing.T) {
 	}
 	if got := executions.Load(); got != 3 {
 		t.Fatalf("handler executed %d times, want 3", got)
+	}
+}
+
+// TestDRCKeepsCreateAcrossIdempotentTraffic: the duplicate-request
+// cache holds only non-idempotent replies, so a burst of LOOKUP/GETATTR
+// traffic — twice the cache's size — cannot evict a CREATE's reply. Its
+// late retransmission is replayed rather than re-executed (which would
+// fail the exclusive create with EEXIST although it succeeded).
+func TestDRCKeepsCreateAcrossIdempotentTraffic(t *testing.T) {
+	var creates, reads atomic.Uint64
+	h := HandlerFunc(func(call Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
+		if nfsproto.Proc(call.Proc) == nfsproto.ProcCreate {
+			st := nfsproto.OK
+			if creates.Add(1) > 1 {
+				st = nfsproto.ErrExist
+			}
+			return func(e *xdr.Encoder) { e.PutUint32(uint32(st)) }, AcceptSuccess
+		}
+		reads.Add(1)
+		return func(e *xdr.Encoder) { e.PutUint32(uint32(nfsproto.OK)) }, AcceptSuccess
+	})
+	n := netsim.New(netsim.Config{})
+	sp, _ := n.Bind(netsim.Addr{Host: 2, Port: 2049})
+	srv := NewServer(sp, h)
+	defer srv.Close()
+	cp, _ := n.Bind(netsim.Addr{Host: 1, Port: 100})
+	defer cp.Close()
+	lp, _ := n.Bind(netsim.Addr{Host: 3, Port: 100})
+	cli := NewClient(lp, srv.Addr(), ClientConfig{})
+	defer cli.Close()
+
+	create := func() nfsproto.Status {
+		t.Helper()
+		payload := EncodeCall(777, nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcCreate), nil)
+		defer netsim.FreeBuf(payload)
+		if err := cp.SendTo(srv.Addr(), payload); err != nil {
+			t.Fatal(err)
+		}
+		d, err := cp.Recv(time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer netsim.FreeBuf(d)
+		rep, err := ParseReply(netsim.Payload(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, _ := xdr.NewDecoder(rep.Body).Uint32()
+		return nfsproto.Status(st)
+	}
+	if st := create(); st != nfsproto.OK {
+		t.Fatalf("first CREATE: %v", st)
+	}
+	for i := 0; i < 2*DRCSize; i++ {
+		proc := nfsproto.ProcLookup
+		if i%2 == 1 {
+			proc = nfsproto.ProcGetAttr
+		}
+		if _, err := cli.Call(nfsproto.Program, nfsproto.Version, uint32(proc), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := create(); st != nfsproto.OK {
+		t.Fatalf("retransmitted CREATE after %d idempotent calls: %v, want the replayed OK", 2*DRCSize, st)
+	}
+	if got := creates.Load(); got != 1 {
+		t.Fatalf("CREATE executed %d times, want 1", got)
+	}
+	if got := reads.Load(); got != 2*DRCSize {
+		t.Fatalf("idempotent calls executed %d times, want %d", got, 2*DRCSize)
+	}
+}
+
+// TestDRCReexecutesIdempotentRetransmission: a retransmitted idempotent
+// NFS call that already completed finds no cached reply and executes
+// again; a retransmitted call of any other program is replayed.
+func TestDRCReexecutesIdempotentRetransmission(t *testing.T) {
+	var executions atomic.Uint64
+	n := netsim.New(netsim.Config{})
+	sp, _ := n.Bind(netsim.Addr{Host: 2, Port: 2049})
+	srv := NewServer(sp, countingHandler(&executions))
+	defer srv.Close()
+	cp, _ := n.Bind(netsim.Addr{Host: 1, Port: 100})
+	defer cp.Close()
+
+	call := func(xid, prog, proc uint32) uint64 {
+		t.Helper()
+		payload := EncodeCall(xid, prog, nfsproto.Version, proc, nil)
+		defer netsim.FreeBuf(payload)
+		if err := cp.SendTo(srv.Addr(), payload); err != nil {
+			t.Fatal(err)
+		}
+		d, err := cp.Recv(time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer netsim.FreeBuf(d)
+		rep, err := ParseReply(netsim.Payload(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _ := xdr.NewDecoder(rep.Body).Uint64()
+		return v
+	}
+	read := uint32(nfsproto.ProcRead)
+	if got := call(1, nfsproto.Program, read); got != 1 {
+		t.Fatalf("READ saw execution %d, want 1", got)
+	}
+	if got := call(1, nfsproto.Program, read); got != 2 {
+		t.Fatalf("retransmitted READ saw execution %d, want re-execution 2", got)
+	}
+	// The same procedure number under another program is not NFS READ.
+	if got := call(2, 7, read); got != 3 {
+		t.Fatalf("program-7 call saw execution %d, want 3", got)
+	}
+	if got := call(2, 7, read); got != 3 {
+		t.Fatalf("retransmitted program-7 call saw execution %d, want replay of 3", got)
 	}
 }

@@ -1,6 +1,10 @@
 package oncrpc
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"slice/internal/xdr"
+)
 
 // The optional trace field: a fixed trailer appended after the argument
 // or result body of an RPC message, carrying the request's trace id and
@@ -24,12 +28,10 @@ const (
 	ReplyTraceLen = 24
 )
 
-// AppendCallTrace appends the trace trailer to a call payload.
-func AppendCallTrace(payload []byte, traceID uint64) []byte {
-	var t [CallTraceLen]byte
-	binary.BigEndian.PutUint64(t[0:], traceID)
-	binary.BigEndian.PutUint64(t[8:], traceMagic)
-	return append(payload, t[:]...)
+// PutCallTrace appends the trace trailer to an encoded call.
+func PutCallTrace(e *xdr.Encoder, traceID uint64) {
+	e.PutUint64(traceID)
+	e.PutUint64(traceMagic)
 }
 
 // SplitCallTrace detects and strips the trace trailer from a call body
@@ -46,13 +48,11 @@ func SplitCallTrace(body []byte) (traceID uint64, stripped []byte, ok bool) {
 	return binary.BigEndian.Uint64(body[n-16:]), body[:n-CallTraceLen], true
 }
 
-// AppendReplyTrace appends the trace trailer to a reply payload.
-func AppendReplyTrace(payload []byte, traceID, serverNS uint64) []byte {
-	var t [ReplyTraceLen]byte
-	binary.BigEndian.PutUint64(t[0:], traceID)
-	binary.BigEndian.PutUint64(t[8:], serverNS)
-	binary.BigEndian.PutUint64(t[16:], traceMagic)
-	return append(payload, t[:]...)
+// PutReplyTrace appends the trace trailer to an encoded reply.
+func PutReplyTrace(e *xdr.Encoder, traceID, serverNS uint64) {
+	e.PutUint64(traceID)
+	e.PutUint64(serverNS)
+	e.PutUint64(traceMagic)
 }
 
 // PeekReplyTrace reads the trace trailer from a reply body without

@@ -10,12 +10,13 @@ import (
 )
 
 func TestCallTraceRoundTrip(t *testing.T) {
-	payload := EncodeCall(1, 7, 1, 3, func(e *xdr.Encoder) { e.PutUint32(0xBEEF) })
-	body := payload[CallHeader:]
+	e := encodeCall(1, 7, 1, 3, func(e *xdr.Encoder) { e.PutUint32(0xBEEF) })
+	body := append([]byte(nil), e.Bytes()[CallHeader:]...)
 	if _, _, ok := SplitCallTrace(body); ok {
 		t.Fatal("untraced body reported a trailer")
 	}
-	traced := AppendCallTrace(payload, 0xDEAD1234)
+	PutCallTrace(e, 0xDEAD1234)
+	traced := e.Bytes()
 	id, stripped, ok := SplitCallTrace(traced[CallHeader:])
 	if !ok || id != 0xDEAD1234 {
 		t.Fatalf("SplitCallTrace = %x, %v", id, ok)
@@ -30,11 +31,12 @@ func TestCallTraceRoundTrip(t *testing.T) {
 }
 
 func TestReplyTraceRoundTrip(t *testing.T) {
-	payload := EncodeReply(1, AcceptSuccess, func(e *xdr.Encoder) { e.PutUint32(5) })
-	if _, _, ok := PeekReplyTrace(payload[ReplyHeader:]); ok {
+	e := encodeReply(0, 1, AcceptSuccess, func(e *xdr.Encoder) { e.PutUint32(5) })
+	if _, _, ok := PeekReplyTrace(e.Bytes()[ReplyHeader:]); ok {
 		t.Fatal("untraced reply reported a trailer")
 	}
-	traced := AppendReplyTrace(payload, 99, 12345)
+	PutReplyTrace(e, 99, 12345)
+	traced := e.Bytes()
 	id, ns, ok := PeekReplyTrace(traced[ReplyHeader:])
 	if !ok || id != 99 || ns != 12345 {
 		t.Fatalf("PeekReplyTrace = %d, %d, %v", id, ns, ok)

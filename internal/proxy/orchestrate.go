@@ -386,8 +386,7 @@ func (p *Proxy) absorbCommit(client netsim.Addr, xid uint32, info nfsproto.Reque
 		}
 	} else if id == 0 {
 		fail := nfsproto.CommitRes{Status: nfsproto.ErrIO}
-		payload := oncrpc.EncodeReply(xid, oncrpc.AcceptSuccess, fail.Encode)
-		if out, err := netsim.Build(p.cfg.Virtual, client, payload); err == nil {
+		if out, err := oncrpc.EncodeReplyDatagram(p.cfg.Virtual, client, xid, oncrpc.AcceptSuccess, fail.Encode); err == nil {
 			p.st.absorbed.Add(1)
 			p.st.responses.Add(1)
 			_ = p.cfg.Net.Inject(out)
@@ -401,8 +400,7 @@ func (p *Proxy) absorbCommit(client netsim.Addr, xid uint32, info nfsproto.Reque
 	if at, ok := p.attrs.get(fh); ok {
 		res.Attr = nfsproto.Some(at)
 	}
-	payload := oncrpc.EncodeReply(xid, oncrpc.AcceptSuccess, res.Encode)
-	out, err := netsim.Build(p.cfg.Virtual, client, payload)
+	out, err := oncrpc.EncodeReplyDatagram(p.cfg.Virtual, client, xid, oncrpc.AcceptSuccess, res.Encode)
 	if err != nil {
 		p.st.dropped.Add(1)
 		return

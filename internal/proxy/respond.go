@@ -332,12 +332,11 @@ func (p *Proxy) respondGetAttr(d []byte, key pendKey, pd *pendingReq, rep oncrpc
 	netsim.FreeBuf(d)
 }
 
-// respondEncoded builds a fresh reply datagram from the virtual server to
-// the client and injects it.
+// respondEncoded encodes a reply from the virtual server to the client
+// straight into a pooled datagram and injects it.
 func (p *Proxy) respondEncoded(key pendKey, body func(*xdr.Encoder)) {
 	t1 := time.Now()
-	payload := oncrpc.EncodeReply(key.xid, oncrpc.AcceptSuccess, body)
-	out, err := netsim.Build(p.cfg.Virtual, key.client, payload)
+	out, err := oncrpc.EncodeReplyDatagram(p.cfg.Virtual, key.client, key.xid, oncrpc.AcceptSuccess, body)
 	p.st.rewriteNS.Add(uint64(time.Since(t1)))
 	if err != nil {
 		p.st.dropped.Add(1)

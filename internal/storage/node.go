@@ -185,8 +185,7 @@ func (n *Node) serveNFS(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
 		if !n.authorize(args.FH) {
 			return (&nfsproto.ReadRes{Status: nfsproto.ErrAccess}).Encode, oncrpc.AcceptSuccess
 		}
-		res := n.read(&args)
-		return res.Encode, oncrpc.AcceptSuccess
+		return n.read(args), oncrpc.AcceptSuccess
 
 	case nfsproto.ProcWrite:
 		var args nfsproto.WriteArgs
@@ -217,25 +216,33 @@ func (n *Node) serveNFS(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
 	}
 }
 
+// maxReadCount caps the bytes one READ returns. A larger count could
+// never be delivered (its reply, with the µproxy's attributes patched
+// in, must fit one datagram); a client seeing the short reply without
+// EOF continues from where it ends.
+const maxReadCount = netsim.MaxDatagram / 2
+
 // read serves READ. The reply carries no attributes: in the Slice
 // architecture the µproxy patches cached attributes into I/O responses
-// (§4.1), because storage nodes do not hold file attributes.
-func (n *Node) read(args *nfsproto.ReadArgs) *nfsproto.ReadRes {
-	buf := make([]byte, args.Count)
-	cnt, eof, err := n.store.ReadAt(ObjectOf(args.FH), int64(args.Offset), buf)
-	if err != nil {
-		// Reading an object that has never been written is a read of a
-		// hole in a sparse file: return zeroes only if the file exists
-		// somewhere else. The storage node cannot know the file size, so
-		// it reports EOF at its local object; the client's view of size
-		// comes from the attributes the µproxy maintains.
-		return &nfsproto.ReadRes{Status: nfsproto.OK, Count: 0, EOF: true, Data: nil}
-	}
-	return &nfsproto.ReadRes{
-		Status: nfsproto.OK,
-		Count:  uint32(cnt),
-		EOF:    eof,
-		Data:   buf[:cnt],
+// (§4.1), because storage nodes do not hold file attributes. The object's
+// bytes are read when the reply is encoded, straight into the reply
+// buffer.
+func (n *Node) read(args nfsproto.ReadArgs) func(*xdr.Encoder) {
+	count := min(args.Count, maxReadCount)
+	return func(e *xdr.Encoder) {
+		nfsproto.EncodeReadFill(e, int(count), func(p []byte) (int, bool) {
+			cnt, eof, err := n.store.ReadAt(ObjectOf(args.FH), int64(args.Offset), p)
+			if err != nil {
+				// Reading an object that has never been written is a
+				// read of a hole in a sparse file: return zeroes only if
+				// the file exists somewhere else. The storage node cannot
+				// know the file size, so it reports EOF at its local
+				// object; the client's view of size comes from the
+				// attributes the µproxy maintains.
+				return 0, true
+			}
+			return cnt, eof
+		})
 	}
 }
 
@@ -415,14 +422,20 @@ func (n *Node) servePeer(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
 		if count > replica.PeerChunk {
 			count = replica.PeerChunk
 		}
-		buf := make([]byte, count)
-		cnt, _, rerr := n.store.ReadAt(ObjectID(id), int64(off), buf)
-		if rerr != nil {
-			return func(e *xdr.Encoder) { e.PutUint32(replica.PeerNoObj) }, oncrpc.AcceptSuccess
-		}
+		// Like READ, the bytes are read straight into the reply.
 		return func(e *xdr.Encoder) {
+			at := e.Len()
 			e.PutUint32(replica.PeerOK)
-			e.PutOpaque(buf[:cnt])
+			var rerr error
+			e.PutOpaqueFill(int(count), func(p []byte) int {
+				var cnt int
+				cnt, _, rerr = n.store.ReadAt(ObjectID(id), int64(off), p)
+				return cnt
+			})
+			if rerr != nil {
+				e.Truncate(at)
+				e.PutUint32(replica.PeerNoObj)
+			}
 		}, oncrpc.AcceptSuccess
 
 	case replica.PeerProcWrite:

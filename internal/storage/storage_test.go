@@ -295,3 +295,96 @@ func TestObjectOfIgnoresHints(t *testing.T) {
 		t.Fatal("placement hints changed the backing object identity")
 	}
 }
+
+// TestRetransmittedReadReturnsCurrentBytes: READ is idempotent, so the
+// node's duplicate-request cache keeps no READ reply. A retransmission
+// of a completed READ (same xid) executes again and returns the bytes
+// the object holds now, not a replay of the first answer.
+func TestRetransmittedReadReturnsCurrentBytes(t *testing.T) {
+	n := netsim.New(netsim.Config{})
+	sp, _ := n.Bind(netsim.Addr{Host: 2, Port: 2049})
+	node := NewNode(sp, NewObjectStore())
+	defer node.Close()
+	cp, _ := n.Bind(netsim.Addr{Host: 1, Port: 100})
+	defer cp.Close()
+	fh := testFH(9)
+
+	read := func() string {
+		t.Helper()
+		args := nfsproto.ReadArgs{FH: fh, Offset: 0, Count: 4}
+		payload := oncrpc.EncodeCall(4711, nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcRead), args.Encode)
+		defer netsim.FreeBuf(payload)
+		if err := cp.SendTo(node.Addr(), payload); err != nil {
+			t.Fatal(err)
+		}
+		d, err := cp.Recv(time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer netsim.FreeBuf(d)
+		rep, err := oncrpc.ParseReply(netsim.Payload(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res nfsproto.ReadRes
+		if err := res.Decode(xdr.NewDecoder(rep.Body)); err != nil || res.Status != nfsproto.OK {
+			t.Fatalf("READ: %v, status %v", err, res.Status)
+		}
+		return string(res.Data)
+	}
+	if err := node.Store().WriteAt(ObjectOf(fh), 0, []byte("AAAA"), true); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(); got != "AAAA" {
+		t.Fatalf("first READ = %q", got)
+	}
+	if err := node.Store().WriteAt(ObjectOf(fh), 0, []byte("BBBB"), true); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(); got != "BBBB" {
+		t.Fatalf("retransmitted READ = %q, want the current bytes %q", got, "BBBB")
+	}
+}
+
+// staleAlloc is an xdr.Allocator whose buffers arrive full of 0xEE, as
+// a pool buffer still holding an earlier datagram's bytes would.
+type staleAlloc struct{}
+
+func (staleAlloc) Get(n int) []byte { return bytes.Repeat([]byte{0xEE}, n) }
+func (staleAlloc) Free([]byte)      {}
+
+// TestReadReplyMatchesReadRes: the node encodes READ replies in place
+// into pooled memory that still holds old bytes; the reply must be
+// exactly what encoding a ReadRes would produce, for a full read, a
+// short read at EOF, a hole, and a missing object — so every byte the
+// reply claims (hole zeros and XDR padding included) is written.
+func TestReadReplyMatchesReadRes(t *testing.T) {
+	n := netsim.New(netsim.Config{})
+	sp, _ := n.Bind(netsim.Addr{Host: 2, Port: 2049})
+	node := NewNode(sp, NewObjectStore())
+	defer node.Close()
+	fh := testFH(3)
+	_ = node.Store().WriteAt(ObjectOf(fh), 2*BlockSize, []byte("tail!"), true)
+	for _, tc := range []struct {
+		off   uint64
+		count uint32
+		fh    fhandle.Handle
+	}{
+		{0, 64, fh}, {2 * BlockSize, 64, fh}, {2*BlockSize + 1, 3, fh}, {0, 16, testFH(4)},
+		{0, 1 << 31, fh}, // a count no datagram can carry is cut to maxReadCount
+	} {
+		got := xdr.NewPooledEncoder(staleAlloc{}, 0, 64)
+		node.read(nfsproto.ReadArgs{FH: tc.fh, Offset: tc.off, Count: tc.count})(got)
+
+		want := nfsproto.ReadRes{Status: nfsproto.OK, Count: 0, EOF: true}
+		buf := make([]byte, min(tc.count, maxReadCount))
+		if cnt, eof, err := node.Store().ReadAt(ObjectOf(tc.fh), int64(tc.off), buf); err == nil {
+			want = nfsproto.ReadRes{Status: nfsproto.OK, Count: uint32(cnt), EOF: eof, Data: buf[:cnt]}
+		}
+		we := xdr.NewEncoder(0)
+		want.Encode(we)
+		if !bytes.Equal(got.Bytes(), we.Bytes()) {
+			t.Fatalf("off %d count %d: in-place reply %x, ReadRes encodes %x", tc.off, tc.count, got.Bytes(), we.Bytes())
+		}
+	}
+}

@@ -223,11 +223,13 @@ func (g *Gateway) connReader(c *gwConn) {
 
 	br := bufio.NewReaderSize(c.tcp, 64<<10)
 	for {
-		rec, err := readRecord(br, 0)
+		// The record is reassembled behind datagram headroom, so it goes
+		// onto the fabric in place.
+		d, err := readRecord(br, netsim.HeaderSize)
 		if err != nil {
 			return
 		}
-		n := uint64(len(rec))
+		n := uint64(len(d) - netsim.HeaderSize)
 		g.rxRecords.Add(1)
 		g.rxBytes.Add(n)
 		connRx += n
@@ -235,13 +237,12 @@ func (g *Gateway) connReader(c *gwConn) {
 		if h := g.hists.Load(); h != nil {
 			h.rxRecord.Record(n)
 		}
-		// SendTo copies the record into a pooled datagram; drops (e.g. a
-		// record larger than the fabric MTU) are counted, and RPC
-		// retransmission recovers exactly as for datagram loss.
-		if err := c.port.SendTo(g.virtual, rec); err != nil {
+		// The fabric takes ownership of d; drops (e.g. a record larger
+		// than the fabric MTU) are counted, and RPC retransmission
+		// recovers exactly as for datagram loss.
+		if err := c.port.SendDatagram(g.virtual, d); err != nil {
 			g.drops.Add(1)
 		}
-		netsim.FreeBuf(rec)
 	}
 }
 

@@ -8,6 +8,7 @@
 package xdr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -29,19 +30,44 @@ const MaxOpaque = 1 << 20
 // pad returns the number of zero bytes needed to round n up to 4.
 func pad(n int) int { return (4 - n&3) & 3 }
 
-// Encoder appends XDR-encoded values to an internal buffer.
-// The zero value is ready to use.
-type Encoder struct {
-	buf []byte
+// Allocator supplies and recycles an Encoder's buffers. Get returns a
+// buffer of length n (its capacity may be larger); Free takes back a
+// buffer Get returned. netsim's datagram pool is the one the RPC layer
+// plugs in, so encoded messages never touch the heap.
+type Allocator interface {
+	Get(n int) []byte
+	Free(b []byte)
 }
 
-// NewEncoder returns an encoder whose buffer has the given initial capacity.
+// Encoder appends XDR-encoded values to a buffer. Without an Allocator
+// (NewEncoder, or the zero value) the buffer lives on the heap; with one
+// (NewPooledEncoder) every buffer comes from the Allocator, and the
+// caller owns the buffer Bytes returns until it hands it back.
+type Encoder struct {
+	buf   []byte
+	alloc Allocator
+}
+
+// NewEncoder returns a heap-backed encoder whose buffer has the given
+// initial capacity.
 func NewEncoder(capacity int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, capacity)}
 }
 
-// Bytes returns the encoded buffer. The slice is owned by the encoder and
-// is invalidated by further Put calls.
+// NewPooledEncoder returns an encoder drawing its buffers from a. The
+// first headroom bytes of the buffer are reserved (unspecified contents)
+// ahead of the encoded data, so a caller can fill in a transport header
+// in place; capacity is a hint for the whole buffer.
+func NewPooledEncoder(a Allocator, headroom, capacity int) *Encoder {
+	if capacity < headroom {
+		capacity = headroom
+	}
+	return &Encoder{buf: a.Get(capacity)[:headroom], alloc: a}
+}
+
+// Bytes returns the encoded buffer, including any headroom. The slice is
+// invalidated by further Put calls; for a pooled encoder it is owned by
+// the caller, who returns it to the Allocator when done.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Len returns the number of encoded bytes.
@@ -50,9 +76,42 @@ func (e *Encoder) Len() int { return len(e.buf) }
 // Reset discards the buffer contents but keeps the allocation.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
+// reserve makes room for n more bytes, so the appends that follow never
+// reallocate behind the encoder's back.
+func (e *Encoder) reserve(n int) {
+	if cap(e.buf)-len(e.buf) < n {
+		e.grow(n)
+	}
+}
+
+// grow is the encoder's single growth path: it moves the encoded bytes
+// to a buffer with room for n more — for a pooled encoder, a buffer of
+// the next size class up, freeing the old one.
+func (e *Encoder) grow(n int) {
+	size := 2 * cap(e.buf)
+	if need := len(e.buf) + n; size < need {
+		size = need
+	}
+	var nb []byte
+	if e.alloc != nil {
+		nb = e.alloc.Get(size)
+	} else {
+		nb = make([]byte, size)
+	}
+	copy(nb, e.buf)
+	if e.alloc != nil {
+		e.alloc.Free(e.buf)
+	}
+	e.buf = nb[:len(e.buf)]
+}
+
+// Truncate shrinks the encoded buffer to n bytes.
+func (e *Encoder) Truncate(n int) { e.buf = e.buf[:n] }
+
 // PutUint32 appends a 32-bit unsigned integer.
 func (e *Encoder) PutUint32(v uint32) {
-	e.buf = append(e.buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
+	e.reserve(4)
+	e.buf = binary.BigEndian.AppendUint32(e.buf, v)
 }
 
 // PutInt32 appends a 32-bit signed integer.
@@ -60,8 +119,8 @@ func (e *Encoder) PutInt32(v int32) { e.PutUint32(uint32(v)) }
 
 // PutUint64 appends a 64-bit unsigned integer (XDR hyper).
 func (e *Encoder) PutUint64(v uint64) {
-	e.PutUint32(uint32(v >> 32))
-	e.PutUint32(uint32(v))
+	e.reserve(8)
+	e.buf = binary.BigEndian.AppendUint64(e.buf, v)
 }
 
 // PutInt64 appends a 64-bit signed integer.
@@ -79,11 +138,12 @@ func (e *Encoder) PutBool(v bool) {
 // PutFixedOpaque appends fixed-length opaque data (no length prefix),
 // padded to a four-byte boundary.
 func (e *Encoder) PutFixedOpaque(p []byte) {
+	e.reserve(len(p) + 3)
 	e.buf = append(e.buf, p...)
-	for i := 0; i < pad(len(p)); i++ {
-		e.buf = append(e.buf, 0)
-	}
+	e.buf = append(e.buf, zeros[:pad(len(p))]...)
 }
+
+var zeros [3]byte
 
 // PutOpaque appends variable-length opaque data with a length prefix.
 func (e *Encoder) PutOpaque(p []byte) {
@@ -91,13 +151,24 @@ func (e *Encoder) PutOpaque(p []byte) {
 	e.PutFixedOpaque(p)
 }
 
+// PutOpaqueFill appends variable-length opaque data of at most max bytes
+// that fill writes in place: fill receives max bytes of the buffer and
+// returns how many it used. The data is never staged in a buffer of its
+// own.
+func (e *Encoder) PutOpaqueFill(max int, fill func(p []byte) int) {
+	e.reserve(4 + max + 3)
+	at := len(e.buf)
+	n := fill(e.buf[at+4 : at+4+max])
+	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(n))
+	e.buf = append(e.buf[:at+4+n], zeros[:pad(n)]...)
+}
+
 // PutString appends an XDR string.
 func (e *Encoder) PutString(s string) {
 	e.PutUint32(uint32(len(s)))
+	e.reserve(len(s) + 3)
 	e.buf = append(e.buf, s...)
-	for i := 0; i < pad(len(s)); i++ {
-		e.buf = append(e.buf, 0)
-	}
+	e.buf = append(e.buf, zeros[:pad(len(s))]...)
 }
 
 // Decoder consumes XDR-encoded values from a byte slice.

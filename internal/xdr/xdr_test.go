@@ -255,3 +255,85 @@ func TestEncoderReset(t *testing.T) {
 		t.Fatalf("got %d, %v", v, err)
 	}
 }
+
+// countingAlloc is an Allocator that tracks outstanding buffers.
+type countingAlloc struct{ out map[*byte]int }
+
+func (a *countingAlloc) Get(n int) []byte {
+	b := make([]byte, n, n+n/2)
+	a.out[&b[:1][0]] = cap(b)
+	return b
+}
+
+func (a *countingAlloc) Free(b []byte) {
+	p := &b[:1][0]
+	if _, ok := a.out[p]; !ok {
+		panic("free of a buffer the allocator does not own")
+	}
+	delete(a.out, p)
+}
+
+// TestPooledEncoderGrowth: a pooled encoder keeps its headroom and
+// contents as it outgrows buffers, frees every buffer it leaves behind,
+// and ends owning exactly one — the one Bytes returns.
+func TestPooledEncoderGrowth(t *testing.T) {
+	a := &countingAlloc{out: make(map[*byte]int)}
+	e := NewPooledEncoder(a, 20, 8)
+	if e.Len() != 20 {
+		t.Fatalf("headroom len = %d, want 20", e.Len())
+	}
+	data := bytes.Repeat([]byte{0x5A}, 5000)
+	for i := 0; i < 10; i++ {
+		e.PutUint32(uint32(i))
+		e.PutOpaque(data[:i*500+1])
+	}
+	if len(a.out) != 1 {
+		t.Fatalf("%d buffers outstanding, want 1", len(a.out))
+	}
+	d := NewDecoder(e.Bytes())
+	if err := d.Skip(20); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		v, err := d.Uint32()
+		if err != nil || v != uint32(i) {
+			t.Fatalf("word %d = %d, %v", i, v, err)
+		}
+		p, err := d.Opaque()
+		if err != nil || !bytes.Equal(p, data[:i*500+1]) {
+			t.Fatalf("opaque %d corrupted: %v", i, err)
+		}
+	}
+	a.Free(e.Bytes())
+}
+
+// TestPutOpaqueFill: filled opaque data encodes exactly like PutOpaque,
+// padding included, however much of the offered space fill uses.
+func TestPutOpaqueFill(t *testing.T) {
+	a := &countingAlloc{out: make(map[*byte]int)}
+	for _, n := range []int{0, 1, 3, 4, 7, 100} {
+		for _, spare := range []int{0, 9} {
+			src := bytes.Repeat([]byte{0xC3}, n)
+			want := NewEncoder(0)
+			want.PutUint32(1)
+			want.PutOpaque(src)
+			// A pooled encoder exactly full before the fill: the
+			// padding must fit in the room reserved up front.
+			got := NewPooledEncoder(a, 4, 4)
+			got.PutOpaqueFill(n+spare, func(p []byte) int {
+				for i := range p {
+					p[i] = 0xEE // must not leak past the used bytes
+				}
+				return copy(p, src)
+			})
+			_ = PutUint32At(got.Bytes(), 0, 1) // fill the headroom
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("n=%d spare=%d: PutOpaqueFill %x, PutOpaque %x", n, spare, got.Bytes(), want.Bytes())
+			}
+			a.Free(got.Bytes())
+		}
+	}
+	if len(a.out) != 0 {
+		t.Fatalf("%d buffers leaked", len(a.out))
+	}
+}

@@ -127,9 +127,15 @@ func emitOncrpc() {
 
 	// Trace trailers: a traced call and a timed reply, plus a trailer
 	// whose magic is one bit off (must parse as plain payload).
-	traced := oncrpc.AppendCallTrace(append([]byte(nil), call...), 0xABCDEF)
+	traced := oncrpc.EncodeCall(7, 100003, 3, 6, func(e *xdr.Encoder) {
+		e.PutUint32(42)
+		oncrpc.PutCallTrace(e, 0xABCDEF)
+	})
 	write("oncrpc", target, "seed_call_traced", traced)
-	timed := oncrpc.AppendReplyTrace(append([]byte(nil), reply...), 0xABCDEF, 12345)
+	timed := oncrpc.EncodeReply(7, oncrpc.AcceptSuccess, func(e *xdr.Encoder) {
+		e.PutUint32(42)
+		oncrpc.PutReplyTrace(e, 0xABCDEF, 12345)
+	})
 	write("oncrpc", target, "seed_reply_traced", timed)
 	badmagic := append([]byte(nil), traced...)
 	badmagic[len(badmagic)-1] ^= 0x01
