@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-proxy bench-gate lint cover fuzz corpus nightly-chaos
+.PHONY: check vet build test race poolcheck bench bench-proxy bench-gate lint cover fuzz corpus nightly-chaos
 
 # The full gate: everything a change must pass before it lands.
 check: vet build race bench-proxy
@@ -16,6 +16,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The pooled-buffer ownership check: the packages that move netsim pool
+# buffers, built with the poolcheck tag. Freed buffers are poisoned,
+# FreeBuf panics on a double free or a foreign class-capacity buffer, and
+# each test binary fails at teardown if any buffer is still outstanding,
+# printing the stack that allocated it.
+POOLCHECK_PKGS = netsim oncrpc client proxy wire udpgate replica rebalance chaos
+poolcheck:
+	$(GO) test -tags poolcheck -count 1 $(addprefix ./internal/,$(POOLCHECK_PKGS))
 
 # Short run of every benchmark, as a smoke test.
 bench:
@@ -110,13 +119,14 @@ cover:
 
 # The nightly chaos matrix, locally: the whole chaos suite plus the
 # chaos_long elastic-topology scenarios, across {udp,tcp} transports and
-# {1,3}-way replication under the race detector. CI runs the same matrix
+# {1,3}-way replication under the race detector and the poolcheck
+# ownership check. CI runs the same matrix
 # with -count 3 (.github/workflows/nightly.yml).
 nightly-chaos:
 	@for t in udp tcp; do for k in 1 3; do \
 	    echo "== chaos matrix: transport=$$t replication=$$k =="; \
 	    CHAOS_TRANSPORT=$$t CHAOS_REPLICATION=$$k \
-	    $(GO) test -tags chaos_long -race -count 1 ./internal/chaos/ || exit 1; \
+	    $(GO) test -tags chaos_long,poolcheck -race -count 1 ./internal/chaos/ || exit 1; \
 	done; done
 
 # Regenerate the checked-in fuzz seed corpora (testdata/fuzz/...).

@@ -137,15 +137,17 @@ func main() {
 }
 
 // statsCall makes one call to the absorbed stats program and returns the
-// opaque JSON it carries.
+// opaque JSON it carries, copied out of the reply.
 func statsCall(rc *oncrpc.Client, proc, arg uint32) ([]byte, error) {
-	body, err := rc.Call(obs.Program, obs.Version, proc, func(e *xdr.Encoder) {
+	rep, err := rc.Call(obs.Program, obs.Version, proc, func(e *xdr.Encoder) {
 		e.PutUint32(arg)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return xdr.NewDecoder(body).Opaque()
+	defer rep.Release()
+	raw, err := xdr.NewDecoder(rep.Body).Opaque()
+	return append([]byte(nil), raw...), err
 }
 
 // runStats executes the stats and trace subcommands against a live

@@ -29,13 +29,16 @@
 //     resets it.
 //
 // Buffer ownership across the async boundary: every write-behind chunk
-// copies its bytes into a buffer from the netsim datagram pool; the
-// dispatched worker owns that buffer exclusively until its WRITE —
-// including any retry, which re-encodes the payload — completes, and only
-// then returns it to the pool, whether the WRITE succeeded or failed.
-// Callers may therefore reuse their own buffers the moment Write
-// returns. Readahead entries keep the decoded READ reply data they
-// received; nothing is copied until a read consumes the entry.
+// copies its bytes into a buffer from the netsim datagram pool once it
+// holds a window slot, still before Write returns; the dispatched worker
+// owns that buffer exclusively until its WRITE — including any retry,
+// which re-encodes the payload — completes, and only then returns it to
+// the pool, whether the WRITE succeeded or failed. Callers may therefore
+// reuse their own buffers the moment Write returns, and write-behind
+// never pins more pooled chunks than the window holds. Readahead entries
+// own the READ reply datagram they received: nothing is copied until a
+// read consumes the entry, which then releases the reply; an entry
+// dropped unread releases it too (see raDropLocked).
 package client
 
 import (
@@ -107,11 +110,12 @@ func (c *Client) chunkSpans(off uint64, n int) []chunkSpan {
 func (c *Client) chunkRead(fh fhandle.Handle, off uint64, p []byte) (int, bool, error) {
 	got := 0
 	for got < len(p) {
-		data, eof, err := c.readOnce(fh, off+uint64(got), len(p)-got)
+		data, eof, rep, err := c.readOnce(fh, off+uint64(got), len(p)-got)
 		if err != nil {
 			return got, false, err
 		}
 		n := copy(p[got:], data)
+		rep.Release()
 		got += n
 		if eof || n == 0 {
 			return got, true, nil
@@ -123,22 +127,25 @@ func (c *Client) chunkRead(fh fhandle.Handle, off uint64, p []byte) (int, bool, 
 // readOnce issues one READ of up to n bytes at off, re-issuing once
 // (fresh xid) on timeout — reads are idempotent, so the re-issue
 // preserves at-most-once effects while riding out a node restart
-// mid-transfer. The returned data aliases the reply body.
-func (c *Client) readOnce(fh fhandle.Handle, off uint64, n int) ([]byte, bool, error) {
+// mid-transfer. The returned data aliases the returned reply, which the
+// caller releases once done with the data; on error there is nothing to
+// release.
+func (c *Client) readOnce(fh fhandle.Handle, off uint64, n int) ([]byte, bool, oncrpc.Reply, error) {
 	args := nfsproto.ReadArgs{FH: fh, Offset: off, Count: uint32(n)}
 	var res nfsproto.ReadRes
-	err := c.call(fh, nfsproto.ProcRead, &args, &res)
+	rep, err := c.callReply(fh, nfsproto.ProcRead, &args, &res)
 	if errors.Is(err, oncrpc.ErrTimedOut) {
 		res = nfsproto.ReadRes{}
-		err = c.call(fh, nfsproto.ProcRead, &args, &res)
+		rep, err = c.callReply(fh, nfsproto.ProcRead, &args, &res)
 	}
 	if err != nil {
-		return nil, false, err
+		return nil, false, oncrpc.Reply{}, err
 	}
 	if res.Status != nfsproto.OK {
-		return nil, false, res.Status.Error()
+		rep.Release()
+		return nil, false, oncrpc.Reply{}, res.Status.Error()
 	}
-	return res.Data, res.EOF, nil
+	return res.Data, res.EOF, rep, nil
 }
 
 // chunkWrite writes one chunk, continuing on short writes and re-issuing
@@ -205,9 +212,11 @@ func (c *Client) windowedRead(fh fhandle.Handle, off uint64, p []byte) (int, boo
 		if e.err != nil || (len(e.data) < e.want && !e.eof) {
 			// Unusable entry (failed, or short without EOF): drop it and
 			// fetch those bytes on the demand path below.
+			e.rep.Release()
 			break
 		}
 		n := copy(p[read:], e.data)
+		e.rep.Release()
 		read += n
 		if e.eof || n == 0 {
 			eof = true
@@ -385,13 +394,17 @@ func (f *fileIO) dropSpan(off uint64) {
 	}
 }
 
-// wchunk is one dispatched write-behind chunk. data is a netsim pool
-// buffer the worker returns after its WRITE completes.
+// wchunk is one write-behind chunk. data is a netsim pool buffer the
+// worker returns after its WRITE completes — or, while borrowed is set,
+// bytes the chunk does not own (the caller's, or a detached tail's),
+// which dispatchChunk copies into a pool buffer once the chunk holds a
+// window slot.
 type wchunk struct {
-	fh   fhandle.Handle
-	id   fhandle.Key
-	off  uint64
-	data []byte
+	fh       fhandle.Handle
+	id       fhandle.Key
+	off      uint64
+	data     []byte
+	borrowed bool
 }
 
 // writeBehind carves p's full chunks off the sequential tail, dispatches
@@ -428,8 +441,10 @@ func (c *Client) writeBehind(fh fhandle.Handle, id fhandle.Key, off uint64, p []
 }
 
 // carveLocked appends p to the tail, carving every full chunk off its
-// head into a pooled buffer for its worker; bytes are copied straight
-// from p, so a chunk-aligned write never passes through the tail. The
+// head. A chunk that completes buffered tail bytes is copied into a
+// pooled buffer now; every later chunk comes straight from p and is
+// carved as a borrowed reference, so a chunk-aligned write never passes
+// through the tail and nothing is copied ahead of the window. The
 // sub-chunk remainder stays buffered, coalescing with the next
 // sequential write. Caller holds bulkMu.
 func (c *Client) carveLocked(p []byte) []wchunk {
@@ -441,19 +456,25 @@ func (c *Client) carveLocked(p []byte) []wchunk {
 		if len(t.buf)+len(p) < n {
 			break
 		}
-		buf := netsim.GetBuf(n)
-		k := copy(buf, t.buf)
-		p = p[copy(buf[k:], p):]
-		t.buf = t.buf[:0]
-		out = append(out, wchunk{fh: t.fh, id: t.id, off: t.off, data: buf})
+		ch := wchunk{fh: t.fh, id: t.id, off: t.off}
+		if len(t.buf) == 0 {
+			ch.data, ch.borrowed = p[:n], true
+			p = p[n:]
+		} else {
+			ch.data = netsim.GetBuf(n)
+			k := copy(ch.data, t.buf)
+			p = p[copy(ch.data[k:], p):]
+			t.buf = t.buf[:0]
+		}
+		out = append(out, ch)
 		t.off = end
 	}
 	t.buf = append(t.buf, p...)
 	return out
 }
 
-// dispatchTail dispatches a detached tail's buffered bytes, each chunk
-// copied into a pooled buffer.
+// dispatchTail dispatches a detached tail's buffered bytes. The tail is
+// no longer reachable from the client, so its chunks borrow its buffer.
 func (c *Client) dispatchTail(t *writeTail) {
 	off, buf := t.off, t.buf
 	for len(buf) > 0 {
@@ -461,9 +482,7 @@ func (c *Client) dispatchTail(t *writeTail) {
 		if n > len(buf) {
 			n = len(buf)
 		}
-		data := netsim.GetBuf(n)
-		copy(data, buf)
-		c.dispatchChunk(wchunk{fh: t.fh, id: t.id, off: off, data: data})
+		c.dispatchChunk(wchunk{fh: t.fh, id: t.id, off: off, data: buf[:n], borrowed: true})
 		buf = buf[n:]
 		off += uint64(n)
 	}
@@ -472,7 +491,9 @@ func (c *Client) dispatchTail(t *writeTail) {
 // dispatchChunk registers ch as in flight and hands it to an async
 // worker once a window slot frees up. Registration happens before the
 // (possibly blocking) slot acquisition so a concurrent drain always sees
-// the chunk.
+// the chunk. A borrowed chunk is copied into the pool only after the
+// slot is taken — still before Write returns — so write-behind holds at
+// most a window's worth of pooled chunks however large the Write.
 func (c *Client) dispatchChunk(ch wchunk) {
 	c.bulkMu.Lock()
 	f := c.files[ch.id]
@@ -484,6 +505,11 @@ func (c *Client) dispatchChunk(ch wchunk) {
 	f.spans = append(f.spans, span{ch.off, ch.off + uint64(len(ch.data))})
 	c.bulkMu.Unlock()
 	c.acquire()
+	if ch.borrowed {
+		buf := netsim.GetBuf(len(ch.data))
+		copy(buf, ch.data)
+		ch.data, ch.borrowed = buf, false
+	}
 	go func() {
 		t0 := time.Now()
 		err := c.chunkWrite(ch.fh, ch.off, ch.data, nfsproto.Unstable)
@@ -628,8 +654,12 @@ type raState struct {
 	entries  map[uint64]*raEntry
 }
 
-// raEntry is one prefetched chunk. data/eof/err are written by the
-// worker before ready closes and read only after.
+// raEntry is one prefetched chunk. data/eof/err/rep are written by the
+// worker before ready closes and read only after. The entry owns rep,
+// the reply datagram data aliases: a read that takes the entry releases
+// it once it has copied the data out; an entry dropped from the cache
+// unread is released by raDropLocked, or by its worker when its READ
+// finishes after the drop (done and dropped are guarded by bulkMu).
 type raEntry struct {
 	off   uint64
 	want  int
@@ -637,6 +667,29 @@ type raEntry struct {
 	data  []byte
 	eof   bool
 	err   error
+	rep   oncrpc.Reply
+
+	done    bool // the worker has filled the entry
+	dropped bool // the entry left the cache unread before done
+}
+
+// raDropLocked discards a cached entry nobody will read. Caller holds
+// bulkMu and has removed e from the cache.
+func (c *Client) raDropLocked(e *raEntry) {
+	if e.done {
+		e.rep.Release()
+	} else {
+		e.dropped = true
+	}
+}
+
+// raResetLocked drops every cached entry and installs s as the new
+// readahead state. Caller holds bulkMu.
+func (c *Client) raResetLocked(s raState) {
+	for _, e := range c.ra.entries {
+		c.raDropLocked(e)
+	}
+	c.ra = s
 }
 
 // raAdvance reports whether a read at off continues the cached stream;
@@ -650,11 +703,11 @@ func (c *Client) raAdvance(id fhandle.Key, off uint64) bool {
 	if c.ra.valid && c.ra.id == id && c.ra.expected == off {
 		return true
 	}
-	c.ra = raState{
+	c.raResetLocked(raState{
 		valid: true, id: id, expected: off, horizon: off,
 		eofAt:   ^uint64(0),
 		entries: make(map[uint64]*raEntry),
-	}
+	})
 	return false
 }
 
@@ -691,9 +744,10 @@ func (c *Client) raFinish(fh fhandle.Handle, id fhandle.Key, next uint64, eof, p
 	if eof && next < c.ra.eofAt {
 		c.ra.eofAt = next
 	}
-	for o := range c.ra.entries {
+	for o, e := range c.ra.entries {
 		if o < next {
 			delete(c.ra.entries, o)
+			c.raDropLocked(e)
 		}
 	}
 	if c.ra.horizon < next {
@@ -727,16 +781,24 @@ func (c *Client) raFinish(fh fhandle.Handle, id fhandle.Key, next uint64, eof, p
 
 // prefetchWorker fills one readahead entry with a single READ. It
 // already holds a window slot (taken in raFinish) and releases it when
-// done. The entry keeps the decoded reply data itself; a short reply
-// without EOF leaves the entry unusable, and the consumer reads those
-// bytes on the demand path.
+// done. The entry keeps the reply itself, data aliasing it; a short
+// reply without EOF leaves the entry unusable, and the consumer reads
+// those bytes on the demand path. If the entry was dropped while the
+// READ was in flight, nobody will read it: the worker frees the reply.
 func (c *Client) prefetchWorker(fh fhandle.Handle, e *raEntry) {
 	t0 := time.Now()
-	data, eof, err := c.readOnce(fh, e.off, e.want)
+	data, eof, rep, err := c.readOnce(fh, e.off, e.want)
 	if c.readNS != nil {
 		c.readNS.RecordSince(t0)
 	}
-	e.data, e.eof, e.err = data, eof || len(data) == 0, err
+	c.bulkMu.Lock()
+	if e.dropped {
+		rep.Release()
+	} else {
+		e.data, e.eof, e.err, e.rep = data, eof || len(data) == 0, err, rep
+		e.done = true
+	}
+	c.bulkMu.Unlock()
 	close(e.ready)
 	c.release()
 }
@@ -745,7 +807,7 @@ func (c *Client) prefetchWorker(fh fhandle.Handle, e *raEntry) {
 func (c *Client) invalidateRA(id fhandle.Key) {
 	c.bulkMu.Lock()
 	if c.ra.valid && c.ra.id == id {
-		c.ra = raState{}
+		c.raResetLocked(raState{})
 	}
 	c.bulkMu.Unlock()
 }
@@ -753,6 +815,6 @@ func (c *Client) invalidateRA(id fhandle.Key) {
 // invalidateRAAll drops the readahead cache unconditionally.
 func (c *Client) invalidateRAAll() {
 	c.bulkMu.Lock()
-	c.ra = raState{}
+	c.raResetLocked(raState{})
 	c.bulkMu.Unlock()
 }

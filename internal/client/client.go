@@ -181,29 +181,40 @@ func (c *Client) flowKey(fh fhandle.Handle) uint64 {
 
 // call issues one NFS procedure against fh and decodes the reply. fh is
 // the handle the operation targets (the directory for namespace ops);
-// it keys the flow that picks the owning µproxy.
+// it keys the flow that picks the owning µproxy. Decoded results must
+// not alias the reply (READ data does; see callReply).
 func (c *Client) call(fh fhandle.Handle, proc nfsproto.Proc, args nfsproto.Msg, res nfsproto.Msg) error {
+	rep, err := c.callReply(fh, proc, args, res)
+	rep.Release()
+	return err
+}
+
+// callReply is call for results that alias the reply body: it returns
+// the reply, which the caller releases once done with res.
+func (c *Client) callReply(fh fhandle.Handle, proc nfsproto.Proc, args nfsproto.Msg, res nfsproto.Msg) (oncrpc.Reply, error) {
 	var enc func(*xdr.Encoder)
 	if args != nil {
 		enc = args.Encode
 	}
-	body, err := c.rpc.CallKeyed(c.flowKey(fh), nfsproto.Program, nfsproto.Version, uint32(proc), enc)
-	if err != nil {
-		return err
+	rep, err := c.rpc.CallKeyed(c.flowKey(fh), nfsproto.Program, nfsproto.Version, uint32(proc), enc)
+	if err != nil || res == nil {
+		return rep, err
 	}
-	if res == nil {
-		return nil
+	if err := res.Decode(xdr.NewDecoder(rep.Body)); err != nil {
+		rep.Release()
+		return oncrpc.Reply{}, err
 	}
-	return res.Decode(xdr.NewDecoder(body))
+	return rep, nil
 }
 
 // Mount retrieves the volume root handle.
 func (c *Client) Mount() error {
-	body, err := c.rpc.CallKeyed(c.flowKey(fhandle.Handle{}), mountProgram, mountVersion, mountProcMnt, nil)
+	rep, err := c.rpc.CallKeyed(c.flowKey(fhandle.Handle{}), mountProgram, mountVersion, mountProcMnt, nil)
 	if err != nil {
 		return err
 	}
-	d := xdr.NewDecoder(body)
+	defer rep.Release()
+	d := xdr.NewDecoder(rep.Body)
 	st, err := d.Uint32()
 	if err != nil {
 		return err
@@ -220,8 +231,7 @@ func (c *Client) Root() fhandle.Handle { return c.root }
 
 // Null issues the NULL procedure (a ping).
 func (c *Client) Null() error {
-	_, err := c.rpc.CallKeyed(c.flowKey(fhandle.Handle{}), nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcNull), nil)
-	return err
+	return c.call(fhandle.Handle{}, nfsproto.ProcNull, nil, nil)
 }
 
 // GetAttr fetches the attributes of fh.
@@ -421,14 +431,15 @@ func (c *Client) serialRead(fh fhandle.Handle, off uint64, p []byte) (int, bool,
 			want = rem
 		}
 		var res nfsproto.ReadRes
-		err := c.call(fh, nfsproto.ProcRead, &nfsproto.ReadArgs{FH: fh, Offset: cur, Count: want}, &res)
+		rep, err := c.callReply(fh, nfsproto.ProcRead, &nfsproto.ReadArgs{FH: fh, Offset: cur, Count: want}, &res)
 		if err != nil {
 			return read, false, err
 		}
+		n := copy(p[read:], res.Data)
+		rep.Release()
 		if res.Status != nfsproto.OK {
 			return read, false, res.Status.Error()
 		}
-		n := copy(p[read:], res.Data)
 		read += n
 		if res.EOF || n == 0 {
 			return read, true, nil

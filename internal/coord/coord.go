@@ -401,12 +401,13 @@ func (c *Coordinator) objCall(addr netsim.Addr, proc uint32, fh fhandle.Handle, 
 	if err != nil {
 		return err
 	}
-	_, err = cl.Call(storageObjProgram, storageObjVersion, proc, func(e *xdr.Encoder) {
+	rep, err := cl.Call(storageObjProgram, storageObjVersion, proc, func(e *xdr.Encoder) {
 		fh.Encode(e)
 		if extra != nil {
 			extra(e)
 		}
 	})
+	rep.Release()
 	return err
 }
 
@@ -416,10 +417,11 @@ func (c *Coordinator) nfsCommit(addr netsim.Addr, fh fhandle.Handle) error {
 	if err != nil {
 		return err
 	}
-	_, err = cl.Call(nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcCommit), func(e *xdr.Encoder) {
+	rep, err := cl.Call(nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcCommit), func(e *xdr.Encoder) {
 		args := nfsproto.CommitArgs{FH: fh}
 		args.Encode(e)
 	})
+	rep.Release()
 	return err
 }
 

@@ -258,7 +258,7 @@ func TestCoordinatorRPC(t *testing.T) {
 	fh := testFH(30)
 
 	// Intend over RPC.
-	body, err := r.cli.Call(Program, Version, ProcIntend, func(e *xdr.Encoder) {
+	rep, err := r.cli.Call(Program, Version, ProcIntend, func(e *xdr.Encoder) {
 		e.PutUint32(OpCommit)
 		fh.Encode(e)
 		e.PutUint64(0)
@@ -266,7 +266,8 @@ func TestCoordinatorRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := xdr.NewDecoder(body)
+	defer rep.Release()
+	d := xdr.NewDecoder(rep.Body)
 	st, _ := d.Uint32()
 	id, _ := d.Uint64()
 	if nfsproto.Status(st) != nfsproto.OK || id == 0 {
@@ -274,17 +275,19 @@ func TestCoordinatorRPC(t *testing.T) {
 	}
 
 	// Complete over RPC.
-	if _, err := r.cli.Call(Program, Version, ProcComplete, func(e *xdr.Encoder) {
+	rep, err = r.cli.Call(Program, Version, ProcComplete, func(e *xdr.Encoder) {
 		e.PutUint64(id)
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	rep.Release()
 	if r.co.PendingIntentions() != 0 {
 		t.Fatal("intention survives RPC complete")
 	}
 
 	// GetMap over RPC.
-	body, err = r.cli.Call(Program, Version, ProcGetMap, func(e *xdr.Encoder) {
+	rep, err = r.cli.Call(Program, Version, ProcGetMap, func(e *xdr.Encoder) {
 		fh.Encode(e)
 		e.PutUint64(0)
 		e.PutUint32(4)
@@ -292,7 +295,8 @@ func TestCoordinatorRPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d = xdr.NewDecoder(body)
+	defer rep.Release()
+	d = xdr.NewDecoder(rep.Body)
 	st, _ = d.Uint32()
 	n, _ := d.Uint32()
 	if nfsproto.Status(st) != nfsproto.OK || n != 4 {

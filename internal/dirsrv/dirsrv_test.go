@@ -99,11 +99,12 @@ func (h *harness) call(proc nfsproto.Proc, args nfsproto.Msg, res nfsproto.Msg) 
 	if err != nil {
 		return err
 	}
-	body, err := h.client(addr).Call(nfsproto.Program, nfsproto.Version, uint32(proc), args.Encode)
+	rep, err := h.client(addr).Call(nfsproto.Program, nfsproto.Version, uint32(proc), args.Encode)
 	if err != nil {
 		return err
 	}
-	return res.Decode(xdr.NewDecoder(body))
+	defer rep.Release()
+	return res.Decode(xdr.NewDecoder(rep.Body))
 }
 
 func (h *harness) mkdir(dir fhandle.Handle, name string) fhandle.Handle {
@@ -422,13 +423,14 @@ func TestMisroutedRequestDetected(t *testing.T) {
 	// stale routing table in the µproxy.
 	wrong := h.servers[1].Addr()
 	args := nfsproto.CreateArgs{Dir: h.root, Name: "lost", Exclusive: true}
-	body, err := h.client(wrong).Call(nfsproto.Program, nfsproto.Version,
+	rep, err := h.client(wrong).Call(nfsproto.Program, nfsproto.Version,
 		uint32(nfsproto.ProcCreate), args.Encode)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rep.Release()
 	var res nfsproto.CreateRes
-	if err := res.Decode(xdr.NewDecoder(body)); err != nil {
+	if err := res.Decode(xdr.NewDecoder(rep.Body)); err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != nfsproto.ErrMisrouted {
@@ -512,11 +514,12 @@ func TestCountersTrackCrossSite(t *testing.T) {
 
 func TestMountProgram(t *testing.T) {
 	h := newHarness(t, 2, route.MkdirSwitching, 0)
-	body, err := h.client(h.servers[0].Addr()).Call(MountProgram, MountVersion, MountProcMnt, nil)
+	rep, err := h.client(h.servers[0].Addr()).Call(MountProgram, MountVersion, MountProcMnt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := xdr.NewDecoder(body)
+	defer rep.Release()
+	d := xdr.NewDecoder(rep.Body)
 	st, _ := d.Uint32()
 	if nfsproto.Status(st) != nfsproto.OK {
 		t.Fatalf("mount: %v", nfsproto.Status(st))
@@ -662,14 +665,15 @@ func TestConcurrentExclusiveCreates(t *testing.T) {
 				cli := oncrpc.NewClient(port, addr, oncrpc.ClientConfig{})
 				defer cli.Close()
 				go func() {
-					body, err := cli.Call(nfsproto.Program, nfsproto.Version,
+					rep, err := cli.Call(nfsproto.Program, nfsproto.Version,
 						uint32(nfsproto.ProcCreate), args.Encode)
 					if err != nil {
 						results <- nfsproto.ErrServerFault
 						return
 					}
+					defer rep.Release()
 					var res nfsproto.CreateRes
-					if err := res.Decode(xdr.NewDecoder(body)); err != nil {
+					if err := res.Decode(xdr.NewDecoder(rep.Body)); err != nil {
 						results <- nfsproto.ErrServerFault
 						return
 					}

@@ -50,7 +50,8 @@ func (s *Server) peerClient(a netsim.Addr) (*oncrpc.Client, error) {
 
 // peerCall issues a peer procedure to the given logical site and decodes
 // the leading status word of the reply; decodeRest (optional) consumes the
-// remainder. The server must NOT hold s.mu across this call.
+// remainder, and must copy whatever it keeps: the reply is released when
+// peerCall returns. The server must NOT hold s.mu across this call.
 func (s *Server) peerCall(site uint32, proc uint32, args func(*xdr.Encoder),
 	decodeRest func(*xdr.Decoder) error) (nfsproto.Status, error) {
 
@@ -63,11 +64,12 @@ func (s *Server) peerCall(site uint32, proc uint32, args func(*xdr.Encoder),
 		return nfsproto.ErrServerFault, err
 	}
 	s.addCounter(func(ct *Counters) { ct.PeerCalls++ })
-	body, err := c.Call(PeerProgram, PeerVersion, proc, args)
+	rep, err := c.Call(PeerProgram, PeerVersion, proc, args)
 	if err != nil {
 		return nfsproto.ErrServerFault, err
 	}
-	d := xdr.NewDecoder(body)
+	defer rep.Release()
+	d := xdr.NewDecoder(rep.Body)
 	st, err := d.Uint32()
 	if err != nil {
 		return nfsproto.ErrServerFault, err

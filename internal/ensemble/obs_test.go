@@ -164,13 +164,14 @@ func TestObsStatsOverWire(t *testing.T) {
 	rc := oncrpc.NewClient(port, e.Virtual, oncrpc.ClientConfig{})
 	defer rc.Close()
 
-	body, err := rc.Call(obs.Program, obs.Version, obs.ProcSnapshot, func(enc *xdr.Encoder) {
+	rep, err := rc.Call(obs.Program, obs.Version, obs.ProcSnapshot, func(enc *xdr.Encoder) {
 		enc.PutUint32(0)
 	})
 	if err != nil {
 		t.Fatalf("snapshot call: %v", err)
 	}
-	raw, err := xdr.NewDecoder(body).Opaque()
+	defer rep.Release()
+	raw, err := xdr.NewDecoder(rep.Body).Opaque()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,13 +186,14 @@ func TestObsStatsOverWire(t *testing.T) {
 		t.Error("wire snapshot has no nfs.create samples")
 	}
 
-	body, err = rc.Call(obs.Program, obs.Version, obs.ProcTraces, func(enc *xdr.Encoder) {
+	rep, err = rc.Call(obs.Program, obs.Version, obs.ProcTraces, func(enc *xdr.Encoder) {
 		enc.PutUint32(16)
 	})
 	if err != nil {
 		t.Fatalf("traces call: %v", err)
 	}
-	raw, err = xdr.NewDecoder(body).Opaque()
+	defer rep.Release()
+	raw, err = xdr.NewDecoder(rep.Body).Opaque()
 	if err != nil {
 		t.Fatal(err)
 	}

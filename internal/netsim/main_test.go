@@ -1,0 +1,10 @@
+package netsim
+
+import (
+	"os"
+	"testing"
+)
+
+// TestMain runs the package's tests; built with the poolcheck tag it
+// also fails the run if any pool buffer is left outstanding.
+func TestMain(m *testing.M) { os.Exit(RunPoolChecked(m)) }

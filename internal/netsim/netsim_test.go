@@ -15,6 +15,7 @@ func TestBuildParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer FreeBuf(d)
 	h, err := Parse(d)
 	if err != nil {
 		t.Fatal(err)
@@ -29,6 +30,7 @@ func TestBuildParseRoundTrip(t *testing.T) {
 
 func TestParseRejectsCorruption(t *testing.T) {
 	d, _ := Build(Addr{Host: 1, Port: 1}, Addr{Host: 2, Port: 2}, []byte("data"))
+	defer FreeBuf(d)
 	d[HeaderSize] ^= 0xFF
 	if _, err := Parse(d); err == nil {
 		t.Fatal("corrupt payload passed checksum verification")
@@ -79,6 +81,8 @@ func TestTryRecv(t *testing.T) {
 	_ = a.SendTo(b.Addr(), []byte("two"))
 	d1, ok1 := b.TryRecv()
 	d2, ok2 := b.TryRecv()
+	defer FreeBuf(d1)
+	defer FreeBuf(d2)
 	if !ok1 || !ok2 || string(Payload(d1)) != "one" || string(Payload(d2)) != "two" {
 		t.Fatalf("TryRecv drained %v/%v", ok1, ok2)
 	}
@@ -92,6 +96,7 @@ func TestTryRecv(t *testing.T) {
 // update, the datagram still verifies.
 func TestRewritePreservesChecksum(t *testing.T) {
 	d, _ := Build(Addr{Host: 1, Port: 10}, Addr{Host: 2, Port: 20}, []byte("hello world, this is nfs traffic"))
+	defer FreeBuf(d)
 	RewriteDst(d, Addr{Host: 77, Port: 2049})
 	if !VerifyChecksum(d) {
 		t.Fatal("checksum invalid after RewriteDst")
@@ -130,6 +135,7 @@ func TestSendRecv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer FreeBuf(d)
 	if string(Payload(d)) != "ping" {
 		t.Fatalf("payload %q", Payload(d))
 	}
@@ -224,6 +230,7 @@ func TestTapConsumeAndInject(t *testing.T) {
 	if err != nil {
 		t.Fatalf("redirected datagram not delivered: %v", err)
 	}
+	defer FreeBuf(d)
 	if string(Payload(d)) != "redirect me" {
 		t.Fatalf("payload %q", Payload(d))
 	}
@@ -233,15 +240,18 @@ func TestTapConsumeAndInject(t *testing.T) {
 	// Removing the tap restores direct delivery.
 	n.RemoveTap(tok)
 	_ = a.SendTo(b.Addr(), []byte("direct"))
-	if _, err := b.Recv(time.Second); err != nil {
+	d, err = b.Recv(time.Second)
+	if err != nil {
 		t.Fatalf("delivery after tap removal: %v", err)
 	}
+	FreeBuf(d)
 }
 
 func TestLossRate(t *testing.T) {
 	n := New(Config{LossRate: 0.5, Seed: 99})
 	a, _ := n.Bind(Addr{Host: 1, Port: 1})
 	b, _ := n.Bind(Addr{Host: 2, Port: 2})
+	defer b.Close() // frees what was delivered
 	const total = 400
 	for i := 0; i < total; i++ {
 		_ = a.SendTo(b.Addr(), []byte("x"))
@@ -261,9 +271,11 @@ func TestLatencyDelaysDelivery(t *testing.T) {
 	b, _ := n.Bind(Addr{Host: 2, Port: 2})
 	start := time.Now()
 	_ = a.SendTo(b.Addr(), []byte("slow"))
-	if _, err := b.Recv(time.Second); err != nil {
+	d, err := b.Recv(time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
+	FreeBuf(d)
 	if el := time.Since(start); el < 25*time.Millisecond {
 		t.Fatalf("delivered in %v despite 30ms latency", el)
 	}
@@ -273,6 +285,7 @@ func TestQueueOverrunDrops(t *testing.T) {
 	n := New(Config{QueueLen: 4})
 	a, _ := n.Bind(Addr{Host: 1, Port: 1})
 	b, _ := n.Bind(Addr{Host: 2, Port: 2})
+	defer b.Close() // frees the queued datagrams
 	for i := 0; i < 10; i++ {
 		_ = a.SendTo(b.Addr(), []byte("x"))
 	}
@@ -304,10 +317,12 @@ func TestConcurrentSendersNoRace(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 800; i++ {
-			if _, err := dst.Recv(time.Second); err != nil {
+			d, err := dst.Recv(time.Second)
+			if err != nil {
 				t.Errorf("recv %d: %v", i, err)
 				return
 			}
+			FreeBuf(d)
 		}
 	}()
 	wg.Wait()
@@ -325,7 +340,8 @@ func TestAddrString(t *testing.T) {
 // bytes and rejects anything whose checksum does not verify.
 func FuzzParseDatagram(f *testing.F) {
 	good, _ := Build(Addr{Host: 1, Port: 2}, Addr{Host: 3, Port: 4}, []byte("payload"))
-	f.Add(good)
+	f.Add(append([]byte(nil), good...))
+	FreeBuf(good)
 	f.Add([]byte{})
 	f.Add(make([]byte, HeaderSize))
 	f.Fuzz(func(t *testing.T, d []byte) {
@@ -348,6 +364,7 @@ func TestRewriteUint64PreservesChecksum(t *testing.T) {
 		payload[i] = byte(i * 3)
 	}
 	d, _ := Build(Addr{Host: 1, Port: 1}, Addr{Host: 2, Port: 2}, payload)
+	defer FreeBuf(d)
 	if err := RewriteUint64(d, HeaderSize+16, 0xDEADBEEFCAFEF00D); err != nil {
 		t.Fatal(err)
 	}

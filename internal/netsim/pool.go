@@ -31,12 +31,27 @@ import (
 //     through, frees each one it outgrows, and hands its final buffer to
 //     the caller (see xdr.NewPooledEncoder).
 //
+//   - An RPC reply is a pooled datagram its caller releases: the
+//     oncrpc client hands the datagram it received to the waiting caller
+//     uncopied, and the caller returns it with Reply.Release after
+//     decoding (see oncrpc.Reply).
+//
 // FreeBuf ignores buffers whose capacity is not exactly a pool class, so
 // externally allocated datagrams may flow through the same paths safely.
+//
+// Built with the poolcheck tag, the pool checks the rule at run time
+// (poolcheck.go): freed buffers are poisoned, FreeBuf panics on a double
+// free or on a class-capacity buffer GetBuf never handed out, and
+// RunPoolChecked reports every buffer a test binary leaves outstanding
+// with the stack that allocated it. Without the tag the hooks are empty
+// and compile away.
 
 // bufClasses are the pooled buffer capacities, smallest first. The largest
-// class covers MaxDatagram.
-var bufClasses = [...]int{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 128 << 10, MaxDatagram}
+// class covers MaxDatagram. The 40 KiB class fits a 32 KiB stripe unit
+// plus one 8 KiB page of headers — the page size Go rounds large
+// objects to — so a stripe-unit READ reply or WRITE call does not take
+// a 64 KiB buffer.
+var bufClasses = [...]int{256, 1 << 10, 4 << 10, 16 << 10, 40 << 10, 64 << 10, 128 << 10, MaxDatagram}
 
 // bufPools holds one sync.Pool per size class. Pools store a *byte to the
 // first element of a full-class-capacity array (a pointer stores directly
@@ -123,10 +138,14 @@ func GetBuf(n int) []byte {
 	}
 	poolGets.Add(1)
 	if p, _ := bufPools[cls].Get().(*byte); p != nil {
-		return unsafe.Slice(p, bufClasses[cls])[:n]
+		b := unsafe.Slice(p, bufClasses[cls])
+		checkGet(b, true)
+		return b[:n]
 	}
 	poolNews.Add(1)
-	return make([]byte, n, bufClasses[cls])
+	b := make([]byte, n, bufClasses[cls])
+	checkGet(b, false)
+	return b
 }
 
 // FreeBuf returns a buffer obtained from GetBuf (or Build, or Recv) to the
@@ -141,6 +160,7 @@ func FreeBuf(d []byte) {
 		poolIgnored.Add(1)
 		return
 	}
+	checkFree(d)
 	poolPuts.Add(1)
 	d = d[:1]
 	bufPools[cls].Put(&d[0])

@@ -35,6 +35,24 @@ func TestBufPoolClasses(t *testing.T) {
 		}
 		FreeBuf(d)
 	}
+	// Each request lands in the smallest class that holds it. A 32 KiB
+	// stripe unit plus its datagram and RPC headers takes the 40 KiB
+	// class, not 64 KiB.
+	for _, c := range []struct{ n, cap int }{
+		{16 << 10, 16 << 10},
+		{16<<10 + 1, 40 << 10},
+		{32<<10 + 512, 40 << 10},
+		{40 << 10, 40 << 10},
+		{40<<10 + 1, 64 << 10},
+		{64<<10 + 1, 128 << 10},
+		{128<<10 + 1, MaxDatagram},
+	} {
+		d := GetBuf(c.n)
+		if cap(d) != c.cap {
+			t.Errorf("GetBuf(%d): cap %d, want %d", c.n, cap(d), c.cap)
+		}
+		FreeBuf(d)
+	}
 	// Oversized requests fall back to plain allocation and are ignored on
 	// free.
 	big := GetBuf(MaxDatagram + 1)

@@ -22,11 +22,12 @@ func TestCallStartAwait(t *testing.T) {
 		pendings[i] = cli.CallStart(7, 1, 3, func(e *xdr.Encoder) { e.PutUint32(v) })
 	}
 	for i, p := range pendings {
-		body, err := p.Await()
+		rep, err := p.Await()
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
-		got, err := xdr.NewDecoder(body).Uint32()
+		defer rep.Release()
+		got, err := xdr.NewDecoder(rep.Body).Uint32()
 		if err != nil || got != uint32(i) {
 			t.Fatalf("call %d echoed %d, %v", i, got, err)
 		}
@@ -89,12 +90,13 @@ func TestConcurrentCallsUnderFaults(t *testing.T) {
 					})
 				}
 				for i, p := range pendings {
-					body, err := p.Await()
+					rep, err := p.Await()
 					if err != nil {
 						errs <- err
 						return
 					}
-					d := xdr.NewDecoder(body)
+					defer rep.Release()
+					d := xdr.NewDecoder(rep.Body)
 					ga, _ := d.Uint32()
 					gb, err := d.Uint32()
 					if err != nil || ga != sent[i][0] || gb != sent[i][1] {
@@ -121,17 +123,18 @@ func TestAsyncCallsAfterClose(t *testing.T) {
 	cli, _ := newPair(t, netsim.Config{}, echoHandler, ClientConfig{})
 	cli.Close()
 	p := cli.CallStart(7, 1, 3, nil)
-	if _, err := p.Await(); err == nil {
+	if err := discard(p.Await()); err == nil {
 		t.Fatal("CallStart after Close succeeded")
 	}
 }
 
 // TestCallReturnsWithPoolBalanced: by the time a call returns, every
-// pooled buffer it touched — the encoded call, the request datagram, the
-// server's reply datagram — is back in the pool. The server hands its
-// reply to the network instead of freeing it after the send, and the
-// client frees the reply datagram before it wakes the caller, so a
-// caller can never observe a buffer still outstanding.
+// pooled buffer it touched — the encoded call, the request datagram — is
+// back in the pool except the reply datagram itself, which the caller
+// holds until it releases the reply. The server hands its reply to the
+// network instead of freeing it after the send, and the client hands
+// that datagram to the caller uncopied, so a caller sees exactly one
+// buffer outstanding until Release and none after.
 func TestCallReturnsWithPoolBalanced(t *testing.T) {
 	n := netsim.New(netsim.Config{})
 	sp, _ := n.Bind(netsim.Addr{Host: 2, Port: 2049})
@@ -143,17 +146,22 @@ func TestCallReturnsWithPoolBalanced(t *testing.T) {
 	// no call here retransmits, even on a loaded machine.
 	c := NewClient(cp, srv.Addr(), ClientConfig{Timeout: 10 * time.Second})
 	defer c.Close()
-	if _, err := c.Call(7, 1, 1, nil); err != nil {
+	if err := discard(c.Call(7, 1, 1, nil)); err != nil {
 		t.Fatal(err)
 	}
 	before := netsim.SettledOutstanding()
 	payload := make([]byte, 3000)
 	for i := 0; i < 500; i++ {
-		if _, err := c.Call(7, 1, 1, func(e *xdr.Encoder) { e.PutOpaque(payload) }); err != nil {
+		rep, err := c.Call(7, 1, 1, func(e *xdr.Encoder) { e.PutOpaque(payload) })
+		if err != nil {
 			t.Fatal(err)
 		}
+		if got := netsim.PoolStats().Outstanding(); got != before+1 {
+			t.Fatalf("call %d returned with %d pool buffers outstanding, want %d (the reply)", i, got, before+1)
+		}
+		rep.Release()
 		if got := netsim.PoolStats().Outstanding(); got != before {
-			t.Fatalf("call %d returned with %d pool buffers outstanding, want %d", i, got, before)
+			t.Fatalf("call %d: %d pool buffers outstanding after Release, want %d", i, got, before)
 		}
 	}
 }
@@ -170,7 +178,7 @@ func TestCloseFailsInFlightCalls(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	start := time.Now()
 	c.Close()
-	if _, err := p.Await(); !errors.Is(err, netsim.ErrClosed) {
+	if err := discard(p.Await()); !errors.Is(err, netsim.ErrClosed) {
 		t.Fatalf("in-flight call after Close: %v, want netsim.ErrClosed", err)
 	}
 	if d := time.Since(start); d > time.Second {

@@ -128,15 +128,29 @@ type Call struct {
 }
 
 // Reply is a decoded reply header plus its result body.
+//
+// A reply returned by a Client call is a pooled datagram the caller
+// owns: Body, and every decoded field that aliases it (READ data,
+// opaque results), stays valid until the caller calls Release, which
+// returns the datagram to the netsim pool. Release is a no-op on a
+// reply that owns no datagram (a zero Reply, or one from ParseReply).
 type Reply struct {
 	Xid    uint32
 	Accept uint32
 	Body   []byte // aliases the datagram payload
 
+	// d is the pooled datagram backing Body when the reply came off a
+	// Client's receive loop; nil otherwise.
+	d []byte
 	// stray marks the client's internal retransmission prompt: a reply
 	// to the call arrived from an address it was never sent to.
 	stray bool
 }
+
+// Release returns the reply's datagram to the pool. The caller must not
+// touch Body, or anything decoded from it, afterwards, and must release
+// a reply exactly once.
+func (r Reply) Release() { netsim.FreeBuf(r.d) }
 
 // ErrBadMessage indicates a malformed RPC payload.
 var ErrBadMessage = errors.New("oncrpc: bad message")
@@ -490,13 +504,28 @@ func (c *Client) noteSent(xid uint32, dst netsim.Addr) {
 	s.mu.Unlock()
 }
 
-// unregister removes a call's pending entry (idempotent: the receive
-// loop removes it first when a reply wins the race).
-func (c *Client) unregister(xid uint32) {
+// unregister ends a call that finished without taking its reply: it
+// removes the pending entry (the receive loop removed it already if a
+// reply was matched) and frees any reply still queued on its channel.
+// The receive loop sends under the shard lock, so once the entry is gone
+// no reply can arrive after the drain: a reply matched just as its call
+// timed out, was rejected or was closed goes back to the pool here
+// instead of leaking. A call that took its reply skips unregister: the
+// receive loop removed its entry when it matched the reply, and nothing
+// else can be queued behind it.
+func (c *Client) unregister(xid uint32, pc *pendingCall) {
 	s := c.shard(xid)
 	s.mu.Lock()
 	delete(s.m, xid)
 	s.mu.Unlock()
+	for {
+		select {
+		case rep := <-pc.ch:
+			rep.Release()
+		default:
+			return
+		}
+	}
 }
 
 func (c *Client) recvLoop() {
@@ -535,30 +564,30 @@ func (c *Client) recvLoop() {
 				pc.ch <- Reply{Xid: rep.Xid, stray: true}
 			}
 		} else if ok {
+			// Hand the datagram itself to the caller, who releases it
+			// after decoding: no byte of the reply is copied. The send
+			// happens under the shard lock, so a caller that gives up
+			// and unregisters either finds the reply on its channel or
+			// was gone before the match; a reply can never land in the
+			// gap between. Duplicate deliveries of the same xid find no
+			// pending entry and are freed below, so the buffered send
+			// can never block.
 			delete(s.m, rep.Xid)
+			rep.d = d
+			pc.ch <- rep
 		}
 		s.mu.Unlock()
-		if ok {
-			// Copy the body: the datagram buffer goes back to the pool —
-			// before the caller wakes, so a caller that has its reply
-			// never sees the buffer outstanding. The copy is owned by
-			// the awaiting caller; duplicate deliveries of the same xid
-			// find no pending entry and are dropped above, so the
-			// buffered send can never block.
-			body := make([]byte, len(rep.Body))
-			copy(body, rep.Body)
-			rep.Body = body
+		if !ok {
 			netsim.FreeBuf(d)
-			pc.ch <- rep
-			continue
 		}
-		netsim.FreeBuf(d)
 	}
 }
 
 // Call issues proc of prog/vers with the encoded args and returns the
-// reply body. It retransmits on timeout.
-func (c *Client) Call(prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
+// reply. It retransmits on timeout. The reply's Body aliases its pooled
+// datagram; the caller releases it (Reply.Release) once done decoding.
+// On error the reply is zero and needs no release.
+func (c *Client) Call(prog, vers, proc uint32, args func(*xdr.Encoder)) (Reply, error) {
 	return c.call(0, prog, vers, proc, args, 0, false)
 }
 
@@ -567,7 +596,7 @@ func (c *Client) Call(prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte,
 // configured ResolveKey, so the call follows its flow's owner across
 // fleet reconfigurations. Without a ResolveKey it behaves exactly like
 // Call.
-func (c *Client) CallKeyed(key uint64, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
+func (c *Client) CallKeyed(key uint64, prog, vers, proc uint32, args func(*xdr.Encoder)) (Reply, error) {
 	return c.call(key, prog, vers, proc, args, 0, false)
 }
 
@@ -575,21 +604,24 @@ func (c *Client) CallKeyed(key uint64, prog, vers, proc uint32, args func(*xdr.E
 // the server-side work to the originating request's trace id. Servers
 // that predate the trace field ignore the trailer; the reply body may
 // end with a reply trailer readable via PeekReplyTrace.
-func (c *Client) CallTraced(traceID uint64, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
+func (c *Client) CallTraced(traceID uint64, prog, vers, proc uint32, args func(*xdr.Encoder)) (Reply, error) {
 	return c.call(0, prog, vers, proc, args, traceID, true)
 }
 
-func (c *Client) call(key uint64, prog, vers, proc uint32, args func(*xdr.Encoder), traceID uint64, traced bool) ([]byte, error) {
+func (c *Client) call(key uint64, prog, vers, proc uint32, args func(*xdr.Encoder), traceID uint64, traced bool) (Reply, error) {
 	xid, pc, err := c.register()
 	if err != nil {
-		return nil, err
+		return Reply{}, err
 	}
-	defer c.unregister(xid)
 	e := encodeCall(xid, prog, vers, proc, args)
 	if traced {
 		PutCallTrace(e, traceID)
 	}
-	return c.transact(key, xid, proc, e.Bytes(), pc.ch)
+	rep, err := c.transact(key, xid, proc, e.Bytes(), pc.ch)
+	if err != nil {
+		c.unregister(xid, pc)
+	}
+	return rep, err
 }
 
 // strayPace divides the initial timeout into the minimum gap between
@@ -601,7 +633,8 @@ const strayPace = 16
 // concurrent call gets the same backoff, jitter, and re-resolve
 // behaviour. It owns the pooled payload: every retransmission resends
 // the same bytes, and the buffer goes back to the pool when the call
-// ends, however it ends.
+// ends, however it ends. A successful reply passes to the caller with
+// its datagram; a rejected one is freed here.
 //
 // Besides the timed retransmissions, a stray reply (see recvLoop)
 // prompts one at once: the router that lost the request's soft state
@@ -609,7 +642,7 @@ const strayPace = 16
 // trip rather than a timeout. Prompted retransmissions are paced to one
 // per Timeout/strayPace since the last transmission, so the strays of a
 // fanned-out call — one per replica — cannot multiply its traffic.
-func (c *Client) transact(key uint64, xid, proc uint32, payload []byte, ch chan Reply) ([]byte, error) {
+func (c *Client) transact(key uint64, xid, proc uint32, payload []byte, ch chan Reply) (Reply, error) {
 	defer netsim.FreeBuf(payload)
 	timeout := c.cfg.Timeout
 	pace := c.cfg.Timeout / strayPace
@@ -636,7 +669,7 @@ func (c *Client) transact(key uint64, xid, proc uint32, payload []byte, ch chan 
 		dst = c.target(key)
 		c.noteSent(xid, dst)
 		if err := c.port.SendTo(dst, payload); err != nil {
-			return nil, err
+			return Reply{}, err
 		}
 		sent = time.Now()
 		if timed {
@@ -658,9 +691,10 @@ func (c *Client) transact(key uint64, xid, proc uint32, payload []byte, ch chan 
 			case rep := <-ch:
 				if !rep.stray {
 					if rep.Accept != AcceptSuccess {
-						return nil, &ErrRejected{Accept: rep.Accept}
+						rep.Release()
+						return Reply{}, &ErrRejected{Accept: rep.Accept}
 					}
-					return rep.Body, nil
+					return rep, nil
 				}
 				if promptC != nil {
 					continue // a prompted retransmission is already due
@@ -680,7 +714,7 @@ func (c *Client) transact(key uint64, xid, proc uint32, payload []byte, ch chan 
 				break await
 			case <-timer.C:
 				if attempt == c.cfg.Retries {
-					return nil, fmt.Errorf("%w: proc %d to %s after %d attempts",
+					return Reply{}, fmt.Errorf("%w: proc %d to %s after %d attempts",
 						ErrTimedOut, proc, dst, c.cfg.Retries)
 				}
 				attempt, timed = attempt+1, true
@@ -697,7 +731,7 @@ func (c *Client) transact(key uint64, xid, proc uint32, payload []byte, ch chan 
 				}
 				break await
 			case <-c.done:
-				return nil, netsim.ErrClosed
+				return Reply{}, netsim.ErrClosed
 			}
 		}
 		c.retransmissions.Add(1)
@@ -707,14 +741,16 @@ func (c *Client) transact(key uint64, xid, proc uint32, payload []byte, ch chan 
 // ---------------------------------------------------------- async calls
 
 // Pending is one in-flight asynchronous call started with CallStart.
-// Await collects its result; each Pending must be awaited exactly once.
+// Await collects its result; each Pending must be awaited exactly once,
+// and a successful result released, or its reply datagram never goes
+// back to the pool.
 type Pending struct {
 	done chan pendingResult
 }
 
 type pendingResult struct {
-	body []byte
-	err  error
+	rep Reply
+	err error
 }
 
 // CallStart issues proc of prog/vers asynchronously and returns a
@@ -722,10 +758,10 @@ type pendingResult struct {
 // CallStart returns, copying everything it reads into the call's pooled
 // payload, so the caller may reuse or modify those buffers as soon as
 // CallStart returns. The background transmitter owns the payload through
-// every retransmission and frees it when the call ends. Retransmission,
-// backoff, and re-resolve run exactly as for Call; any number of calls
-// may be in flight concurrently on one client, bounded only by the
-// caller.
+// every retransmission and frees it when the call ends; the reply
+// datagram passes to whoever awaits the call. Retransmission, backoff,
+// and re-resolve run exactly as for Call; any number of calls may be in
+// flight concurrently on one client, bounded only by the caller.
 func (c *Client) CallStart(prog, vers, proc uint32, args func(*xdr.Encoder)) *Pending {
 	return c.CallStartKeyed(0, prog, vers, proc, args)
 }
@@ -742,21 +778,22 @@ func (c *Client) CallStartKeyed(key uint64, prog, vers, proc uint32, args func(*
 	}
 	payload := EncodeCall(xid, prog, vers, proc, args)
 	go func() {
-		body, err := c.transact(key, xid, proc, payload, pc.ch)
-		c.unregister(xid)
-		p.done <- pendingResult{body: body, err: err}
+		rep, err := c.transact(key, xid, proc, payload, pc.ch)
+		if err != nil {
+			c.unregister(xid, pc)
+		}
+		p.done <- pendingResult{rep: rep, err: err}
 	}()
 	return p
 }
 
-// Await blocks until the call completes and returns the reply body or
-// the call's error. The body is a heap copy of the reply datagram's
-// result bytes, owned by the caller and never returned to any pool;
-// decoded fields that alias it (e.g. READ data) stay valid for as long
-// as the caller keeps them.
-func (p *Pending) Await() ([]byte, error) {
+// Await blocks until the call completes and returns its reply or the
+// call's error. As with Call, the reply's Body aliases its pooled
+// datagram: decoded fields that alias it (e.g. READ data) stay valid
+// until the caller releases the reply, exactly once.
+func (p *Pending) Await() (Reply, error) {
 	r := <-p.done
-	return r.body, r.err
+	return r.rep, r.err
 }
 
 // ---------------------------------------------------------------- server

@@ -29,6 +29,13 @@ func newPair(t *testing.T, netCfg netsim.Config, h Handler, clientCfg ClientConf
 	return cli, srv
 }
 
+// discard releases the reply of a call whose result only its error
+// matters for.
+func discard(rep Reply, err error) error {
+	rep.Release()
+	return err
+}
+
 // echoHandler replies with the call body it received.
 var echoHandler = HandlerFunc(func(call Call, from netsim.Addr) (func(*xdr.Encoder), uint32) {
 	body := append([]byte(nil), call.Body...)
@@ -37,11 +44,12 @@ var echoHandler = HandlerFunc(func(call Call, from netsim.Addr) (func(*xdr.Encod
 
 func TestCallReply(t *testing.T) {
 	cli, _ := newPair(t, netsim.Config{}, echoHandler, ClientConfig{})
-	body, err := cli.Call(7, 1, 3, func(e *xdr.Encoder) { e.PutUint32(0xC0FFEE) })
+	rep, err := cli.Call(7, 1, 3, func(e *xdr.Encoder) { e.PutUint32(0xC0FFEE) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := xdr.NewDecoder(body).Uint32()
+	defer rep.Release()
+	v, err := xdr.NewDecoder(rep.Body).Uint32()
 	if err != nil || v != 0xC0FFEE {
 		t.Fatalf("echo = %x, %v", v, err)
 	}
@@ -49,6 +57,7 @@ func TestCallReply(t *testing.T) {
 
 func TestHeaderOffsets(t *testing.T) {
 	payload := EncodeCall(42, 100003, 3, 6, func(e *xdr.Encoder) { e.PutUint32(9) })
+	defer netsim.FreeBuf(payload)
 	d := xdr.NewDecoder(payload)
 	xid, _ := d.UintAt(OffXid)
 	mt, _ := d.UintAt(OffMsgType)
@@ -72,10 +81,12 @@ func TestParseRejects(t *testing.T) {
 		t.Fatal("short call accepted")
 	}
 	reply := EncodeReply(1, AcceptSuccess, nil)
+	defer netsim.FreeBuf(reply)
 	if _, err := ParseCall(reply); err == nil {
 		t.Fatal("reply parsed as call")
 	}
 	call := EncodeCall(1, 2, 3, 4, nil)
+	defer netsim.FreeBuf(call)
 	if _, err := ParseReply(call); err == nil {
 		t.Fatal("call parsed as reply")
 	}
@@ -84,6 +95,8 @@ func TestParseRejects(t *testing.T) {
 func TestIsCall(t *testing.T) {
 	c := EncodeCall(1, 2, 3, 4, nil)
 	r := EncodeReply(1, AcceptSuccess, nil)
+	defer netsim.FreeBuf(c)
+	defer netsim.FreeBuf(r)
 	if ok, err := IsCall(c); err != nil || !ok {
 		t.Fatalf("IsCall(call) = %v, %v", ok, err)
 	}
@@ -100,7 +113,7 @@ func TestRetransmissionOnLoss(t *testing.T) {
 	cli, _ := newPair(t, netsim.Config{LossRate: 0.3, Seed: 5}, echoHandler,
 		ClientConfig{Timeout: 20 * time.Millisecond, Retries: 10})
 	for i := 0; i < 30; i++ {
-		if _, err := cli.Call(7, 1, 1, func(e *xdr.Encoder) { e.PutUint32(uint32(i)) }); err != nil {
+		if err := discard(cli.Call(7, 1, 1, func(e *xdr.Encoder) { e.PutUint32(uint32(i)) })); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
@@ -116,7 +129,7 @@ func TestTimeoutWhenServerGone(t *testing.T) {
 		Timeout: 5 * time.Millisecond, Retries: 2,
 	})
 	defer cli.Close()
-	_, err := cli.Call(1, 1, 1, nil)
+	err := discard(cli.Call(1, 1, 1, nil))
 	if !errors.Is(err, ErrTimedOut) {
 		t.Fatalf("err = %v, want ErrTimedOut", err)
 	}
@@ -127,7 +140,7 @@ func TestRejectedCall(t *testing.T) {
 		return nil, AcceptProcUnavail
 	})
 	cli, _ := newPair(t, netsim.Config{}, h, ClientConfig{})
-	_, err := cli.Call(1, 1, 99, nil)
+	err := discard(cli.Call(1, 1, 99, nil))
 	var rej *ErrRejected
 	if !errors.As(err, &rej) || rej.Accept != AcceptProcUnavail {
 		t.Fatalf("err = %v, want ErrRejected{ProcUnavail}", err)
@@ -151,6 +164,7 @@ func TestDuplicateRequestCache(t *testing.T) {
 
 	// Send the same xid twice, manually.
 	payload := EncodeCall(1234, 7, 1, 1, nil)
+	defer netsim.FreeBuf(payload)
 	for i := 0; i < 2; i++ {
 		if err := cp.SendTo(srv.Addr(), payload); err != nil {
 			t.Fatal(err)
@@ -164,6 +178,7 @@ func TestDuplicateRequestCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		v, _ := xdr.NewDecoder(rep.Body).Uint64()
+		netsim.FreeBuf(d)
 		if v != 1 {
 			t.Fatalf("attempt %d: execution counter in reply = %d, want 1", i, v)
 		}
@@ -191,14 +206,17 @@ func TestSlowHandlerRetransmitDropped(t *testing.T) {
 	defer cp.Close()
 
 	payload := EncodeCall(77, 7, 1, 1, nil)
+	defer netsim.FreeBuf(payload)
 	_ = cp.SendTo(srv.Addr(), payload)
 	time.Sleep(10 * time.Millisecond)
 	_ = cp.SendTo(srv.Addr(), payload) // retransmit while in flight
 	time.Sleep(10 * time.Millisecond)
 	close(release)
-	if _, err := cp.Recv(time.Second); err != nil {
+	d, err := cp.Recv(time.Second)
+	if err != nil {
 		t.Fatal(err)
 	}
+	netsim.FreeBuf(d)
 	if got := executions.Load(); got != 1 {
 		t.Fatalf("handler executed %d times, want 1", got)
 	}
@@ -212,12 +230,13 @@ func TestConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(i uint32) {
 			defer wg.Done()
-			body, err := cli.Call(7, 1, 2, func(e *xdr.Encoder) { e.PutUint32(i) })
+			rep, err := cli.Call(7, 1, 2, func(e *xdr.Encoder) { e.PutUint32(i) })
 			if err != nil {
 				errs <- err
 				return
 			}
-			v, _ := xdr.NewDecoder(body).Uint32()
+			defer rep.Release()
+			v, _ := xdr.NewDecoder(rep.Body).Uint32()
 			if v != i {
 				errs <- errors.New("reply/call mismatch across concurrent xids")
 			}
@@ -233,7 +252,7 @@ func TestConcurrentCalls(t *testing.T) {
 func TestClientCloseFailsCalls(t *testing.T) {
 	cli, _ := newPair(t, netsim.Config{}, echoHandler, ClientConfig{})
 	cli.Close()
-	if _, err := cli.Call(1, 1, 1, nil); err == nil {
+	if err := discard(cli.Call(1, 1, 1, nil)); err == nil {
 		t.Fatal("call on closed client succeeded")
 	}
 }
@@ -271,11 +290,12 @@ func TestClientRestartNoStaleDRCReplay(t *testing.T) {
 		}
 		cli := NewClient(cp, srv.Addr(), ClientConfig{})
 		defer cli.Close()
-		body, err := cli.Call(7, 1, 1, nil)
+		rep, err := cli.Call(7, 1, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, _ := xdr.NewDecoder(body).Uint64()
+		defer rep.Release()
+		v, _ := xdr.NewDecoder(rep.Body).Uint64()
 		return v
 	}
 
@@ -313,7 +333,7 @@ func TestXidSeedsPerClient(t *testing.T) {
 			t.Fatal(err)
 		}
 		cli := NewClient(cp, srv.Addr(), ClientConfig{})
-		if _, err := cli.Call(7, 1, 1, nil); err != nil {
+		if err := discard(cli.Call(7, 1, 1, nil)); err != nil {
 			t.Fatal(err)
 		}
 		cli.Close()
@@ -335,7 +355,7 @@ func TestXidSeedsPerClient(t *testing.T) {
 	cp, _ := n.BindAny(1)
 	cli := NewClient(cp, srv.Addr(), ClientConfig{XidSeed: 0xDEAD0001})
 	defer cli.Close()
-	if _, err := cli.Call(7, 1, 1, nil); err != nil {
+	if err := discard(cli.Call(7, 1, 1, nil)); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -366,7 +386,7 @@ func TestResolverRetargetsRestartedServer(t *testing.T) {
 	})
 	defer cli.Close()
 
-	if _, err := cli.Call(7, 1, 1, nil); err != nil {
+	if err := discard(cli.Call(7, 1, 1, nil)); err != nil {
 		t.Fatalf("call to original server: %v", err)
 	}
 
@@ -375,7 +395,7 @@ func TestResolverRetargetsRestartedServer(t *testing.T) {
 	srvA.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, err := cli.Call(7, 1, 2, nil)
+		err := discard(cli.Call(7, 1, 2, nil))
 		done <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -426,14 +446,14 @@ func TestKeyResolverRoutesByFlow(t *testing.T) {
 	})
 	defer cli.Close()
 
-	if _, err := cli.CallKeyed(2, 7, 1, 1, nil); err != nil {
+	if err := discard(cli.CallKeyed(2, 7, 1, 1, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if execB.Load() != 1 || execA.Load() != 0 {
 		t.Fatalf("keyed call misrouted: A=%d B=%d", execA.Load(), execB.Load())
 	}
 	// An unmapped key falls back to the static server (A).
-	if _, err := cli.CallKeyed(0, 7, 1, 1, nil); err != nil {
+	if err := discard(cli.CallKeyed(0, 7, 1, 1, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if execA.Load() != 1 {
@@ -445,7 +465,7 @@ func TestKeyResolverRoutesByFlow(t *testing.T) {
 	srvA.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, err := cli.CallKeyed(1, 7, 1, 2, nil)
+		err := discard(cli.CallKeyed(1, 7, 1, 2, nil))
 		done <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -464,8 +484,13 @@ func TestKeyResolverRoutesByFlow(t *testing.T) {
 // FuzzParse ensures the RPC header parsers never panic on hostile bytes —
 // they run on every datagram a server or µproxy receives.
 func FuzzParse(f *testing.F) {
-	f.Add(EncodeCall(1, 100003, 3, 6, func(e *xdr.Encoder) { e.PutUint32(9) }))
-	f.Add(EncodeReply(1, AcceptSuccess, func(e *xdr.Encoder) { e.PutUint32(9) }))
+	for _, seed := range [][]byte{
+		EncodeCall(1, 100003, 3, 6, func(e *xdr.Encoder) { e.PutUint32(9) }),
+		EncodeReply(1, AcceptSuccess, func(e *xdr.Encoder) { e.PutUint32(9) }),
+	} {
+		f.Add(append([]byte(nil), seed...))
+		netsim.FreeBuf(seed)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -512,6 +537,7 @@ func TestStrayReplyRejected(t *testing.T) {
 		// The imposter answers first, from the wrong address…
 		stray := EncodeReply(call.Xid, AcceptSuccess, func(e *xdr.Encoder) { e.PutUint32(0xBAD) })
 		_ = imposter.SendTo(clientAddr, stray)
+		netsim.FreeBuf(stray)
 		// …and only after the client has provably seen and rejected it
 		// does the real server reply.
 		for i := 0; i < 200 && cli.StrayReplies() == 0; i++ {
@@ -519,13 +545,15 @@ func TestStrayReplyRejected(t *testing.T) {
 		}
 		real := EncodeReply(call.Xid, AcceptSuccess, func(e *xdr.Encoder) { e.PutUint32(0x600D) })
 		_ = sp.SendTo(clientAddr, real)
+		netsim.FreeBuf(real)
 	}()
 
-	body, err := cli.Call(7, 1, 3, nil)
+	rep, err := cli.Call(7, 1, 3, nil)
 	if err != nil {
 		t.Fatalf("call failed: %v", err)
 	}
-	v, err := xdr.NewDecoder(body).Uint32()
+	defer rep.Release()
+	v, err := xdr.NewDecoder(rep.Body).Uint32()
 	if err != nil || v != 0x600D {
 		t.Fatalf("got body %x, %v; want the real server's reply", v, err)
 	}
@@ -594,11 +622,12 @@ func TestStrayReplyPromptsRetransmission(t *testing.T) {
 		done <- result{transmissions: count}
 	}()
 
-	body, err := cli.Call(7, 1, 3, nil)
+	rep, err := cli.Call(7, 1, 3, nil)
 	if err != nil {
 		t.Fatalf("call failed: %v", err)
 	}
-	if v, _ := xdr.NewDecoder(body).Uint32(); v != 0x600D {
+	defer rep.Release()
+	if v, _ := xdr.NewDecoder(rep.Body).Uint32(); v != 0x600D {
 		t.Fatalf("got body %x, want the real server's reply", v)
 	}
 	r := <-done
@@ -634,6 +663,7 @@ func TestDRCVerifiesCallIdentity(t *testing.T) {
 
 	call := func(payload []byte) uint64 {
 		t.Helper()
+		defer netsim.FreeBuf(payload)
 		if err := cp.SendTo(srv.Addr(), payload); err != nil {
 			t.Fatal(err)
 		}
@@ -641,8 +671,8 @@ func TestDRCVerifiesCallIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer netsim.FreeBuf(d)
 		rep, err := ParseReply(netsim.Payload(d))
-		netsim.FreeBuf(d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -732,7 +762,7 @@ func TestDRCKeepsCreateAcrossIdempotentTraffic(t *testing.T) {
 		if i%2 == 1 {
 			proc = nfsproto.ProcGetAttr
 		}
-		if _, err := cli.Call(nfsproto.Program, nfsproto.Version, uint32(proc), nil); err != nil {
+		if err := discard(cli.Call(nfsproto.Program, nfsproto.Version, uint32(proc), nil)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 func TestCallTraceRoundTrip(t *testing.T) {
 	e := encodeCall(1, 7, 1, 3, func(e *xdr.Encoder) { e.PutUint32(0xBEEF) })
+	defer func() { netsim.FreeBuf(e.Bytes()) }()
 	body := append([]byte(nil), e.Bytes()[CallHeader:]...)
 	if _, _, ok := SplitCallTrace(body); ok {
 		t.Fatal("untraced body reported a trailer")
@@ -32,6 +33,7 @@ func TestCallTraceRoundTrip(t *testing.T) {
 
 func TestReplyTraceRoundTrip(t *testing.T) {
 	e := encodeReply(0, 1, AcceptSuccess, func(e *xdr.Encoder) { e.PutUint32(5) })
+	defer func() { netsim.FreeBuf(e.Bytes()) }()
 	if _, _, ok := PeekReplyTrace(e.Bytes()[ReplyHeader:]); ok {
 		t.Fatal("untraced reply reported a trailer")
 	}
@@ -71,10 +73,12 @@ func TestTracedCallEndToEnd(t *testing.T) {
 		}
 	})
 
-	body, err := cli.CallTraced(0xABCD, 7, 1, 3, func(e *xdr.Encoder) { e.PutUint32(1) })
+	rep, err := cli.CallTraced(0xABCD, 7, 1, 3, func(e *xdr.Encoder) { e.PutUint32(1) })
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rep.Release()
+	body := rep.Body
 	if sawTrace.Load() != 0xABCD {
 		t.Fatalf("handler saw trace %x, want abcd", sawTrace.Load())
 	}
@@ -107,10 +111,12 @@ func TestUntracedCallToObservedServer(t *testing.T) {
 	var calls atomic.Uint64
 	srv.SetObserver(func(prog, vers, proc uint32, handlerNS uint64) { calls.Add(1) })
 
-	body, err := cli.Call(7, 1, 3, func(e *xdr.Encoder) { e.PutUint32(0xC0FFEE) })
+	rep, err := cli.Call(7, 1, 3, func(e *xdr.Encoder) { e.PutUint32(0xC0FFEE) })
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rep.Release()
+	body := rep.Body
 	if calls.Load() != 1 {
 		t.Fatalf("observer calls = %d, want 1", calls.Load())
 	}

@@ -192,23 +192,24 @@ func (p *Proxy) hopForSite(addr netsim.Addr) obs.HopKind {
 
 // obsCall wraps a µproxy-originated RPC: it carries the span's trace id
 // on the wire (so the server's reply trailer attributes its handler
-// time), times the round trip, and records the hop.
-func (p *Proxy) obsCall(sp *obs.Span, hop obs.HopKind, c *oncrpc.Client, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
+// time), times the round trip, and records the hop. The caller releases
+// the reply.
+func (p *Proxy) obsCall(sp *obs.Span, hop obs.HopKind, c *oncrpc.Client, prog, vers, proc uint32, args func(*xdr.Encoder)) (oncrpc.Reply, error) {
 	if sp == nil && p.hists == nil {
 		return c.Call(prog, vers, proc, args)
 	}
 	t0 := time.Now()
-	var body []byte
+	var rep oncrpc.Reply
 	var err error
 	if sp != nil {
-		body, err = c.CallTraced(sp.ID, prog, vers, proc, args)
+		rep, err = c.CallTraced(sp.ID, prog, vers, proc, args)
 	} else {
-		body, err = c.Call(prog, vers, proc, args)
+		rep, err = c.Call(prog, vers, proc, args)
 	}
 	total := uint64(time.Since(t0))
 	var srvNS uint64
 	if err == nil {
-		if _, ns, ok := oncrpc.PeekReplyTrace(body); ok {
+		if _, ns, ok := oncrpc.PeekReplyTrace(rep.Body); ok {
 			srvNS = ns
 		}
 	}
@@ -220,7 +221,7 @@ func (p *Proxy) obsCall(sp *obs.Span, hop obs.HopKind, c *oncrpc.Client, prog, v
 			h.Record(total)
 		}
 	}
-	return body, err
+	return rep, err
 }
 
 // answerStats serves one absorbed stats-program call (obs.Program) from

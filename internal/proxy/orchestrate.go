@@ -33,7 +33,7 @@ func (p *Proxy) coordIntend(sp *obs.Span, op uint32, fh fhandle.Handle, size uin
 	if err != nil {
 		return 0
 	}
-	body, err := p.obsCall(sp, obs.HopCoord, c, coord.Program, coord.Version, coord.ProcIntend, func(e *xdr.Encoder) {
+	rep, err := p.obsCall(sp, obs.HopCoord, c, coord.Program, coord.Version, coord.ProcIntend, func(e *xdr.Encoder) {
 		e.PutUint32(op)
 		fh.Encode(e)
 		e.PutUint64(size)
@@ -41,7 +41,8 @@ func (p *Proxy) coordIntend(sp *obs.Span, op uint32, fh fhandle.Handle, size uin
 	if err != nil {
 		return 0
 	}
-	d := xdr.NewDecoder(body)
+	defer rep.Release()
+	d := xdr.NewDecoder(rep.Body)
 	if st, err := d.Uint32(); err != nil || nfsproto.Status(st) != nfsproto.OK {
 		return 0
 	}
@@ -61,9 +62,10 @@ func (p *Proxy) coordComplete(sp *obs.Span, id uint64) {
 	if err != nil {
 		return
 	}
-	_, _ = p.obsCall(sp, obs.HopCoord, c, coord.Program, coord.Version, coord.ProcComplete, func(e *xdr.Encoder) {
+	rep, _ := p.obsCall(sp, obs.HopCoord, c, coord.Program, coord.Version, coord.ProcComplete, func(e *xdr.Encoder) {
 		e.PutUint64(id)
 	})
+	rep.Release()
 }
 
 // coordGetMap fetches a block-map fragment.
@@ -72,7 +74,7 @@ func (p *Proxy) coordGetMap(sp *obs.Span, fh fhandle.Handle, first uint64, count
 	if err != nil {
 		return nil, err
 	}
-	body, err := p.obsCall(sp, obs.HopCoord, c, coord.Program, coord.Version, coord.ProcGetMap, func(e *xdr.Encoder) {
+	rep, err := p.obsCall(sp, obs.HopCoord, c, coord.Program, coord.Version, coord.ProcGetMap, func(e *xdr.Encoder) {
 		fh.Encode(e)
 		e.PutUint64(first)
 		e.PutUint32(count)
@@ -80,7 +82,8 @@ func (p *Proxy) coordGetMap(sp *obs.Span, fh fhandle.Handle, first uint64, count
 	if err != nil {
 		return nil, err
 	}
-	d := xdr.NewDecoder(body)
+	defer rep.Release()
+	d := xdr.NewDecoder(rep.Body)
 	st, err := d.Uint32()
 	if err != nil {
 		return nil, err
@@ -125,12 +128,13 @@ func (p *Proxy) objOp(sp *obs.Span, addr netsim.Addr, proc uint32, fh fhandle.Ha
 	}
 	p.st.initiated.Add(1)
 	capped := p.capFH(fh)
-	_, err = p.obsCall(sp, p.hopForSite(addr), c, storage.ObjProgram, storage.ObjVersion, proc, func(e *xdr.Encoder) {
+	rep, err := p.obsCall(sp, p.hopForSite(addr), c, storage.ObjProgram, storage.ObjVersion, proc, func(e *xdr.Encoder) {
 		capped.Encode(e)
 		if extra != nil {
 			extra(e)
 		}
 	})
+	rep.Release()
 	return err
 }
 

@@ -963,7 +963,8 @@ func (p *Proxy) coordRPC() (*oncrpc.Client, error) {
 }
 
 // nfsCall issues an NFS call the µproxy originates itself (lookups for
-// remove orchestration, setattr writeback, commit fan-out). The call is
+// remove orchestration, setattr writeback, commit fan-out); res must not
+// alias the reply, which is released on return. The call is
 // attributed to span sp (nil for background work) as a hop of the given
 // kind, carrying the trace id on the wire.
 func (p *Proxy) nfsCall(sp *obs.Span, hop obs.HopKind, addr netsim.Addr, proc nfsproto.Proc, args nfsproto.Msg, res nfsproto.Msg) error {
@@ -972,11 +973,12 @@ func (p *Proxy) nfsCall(sp *obs.Span, hop obs.HopKind, addr netsim.Addr, proc nf
 		return err
 	}
 	p.st.initiated.Add(1)
-	body, err := p.obsCall(sp, hop, c, nfsproto.Program, nfsproto.Version, uint32(proc), args.Encode)
+	rep, err := p.obsCall(sp, hop, c, nfsproto.Program, nfsproto.Version, uint32(proc), args.Encode)
 	if err != nil {
 		return err
 	}
-	return res.Decode(xdr.NewDecoder(body))
+	defer rep.Release()
+	return res.Decode(xdr.NewDecoder(rep.Body))
 }
 
 // serviceLoop is the paced request worker: one request per ServiceTime,

@@ -220,6 +220,7 @@ func TestUnrelatedTrafficPassesThrough(t *testing.T) {
 	if err != nil {
 		t.Fatalf("bystander traffic not delivered: %v", err)
 	}
+	defer netsim.FreeBuf(d)
 	if !bytes.Equal(netsim.Payload(d), msg) {
 		t.Fatal("bystander traffic modified")
 	}

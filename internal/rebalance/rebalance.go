@@ -426,10 +426,11 @@ func (d *Driver) repairChunk(m chunkMove, size uint64, dstSizes map[netsim.Addr]
 	var srcData []byte
 	var srcOK bool
 	if m.n > 0 {
-		data, ok, err := d.peerRead(m.src, m.id, m.off, m.n)
+		data, ok, rep, err := d.peerRead(m.src, m.id, m.off, m.n)
 		if err != nil {
 			return changed, err
 		}
+		defer rep.Release()
 		srcData, srcOK = data, ok
 		if !ok {
 			// Object vanished from the source: the remove fans out to the
@@ -462,11 +463,13 @@ func (d *Driver) repairChunk(m chunkMove, size uint64, dstSizes map[netsim.Addr]
 			continue
 		}
 		t0 := time.Now()
-		dstData, ok, err := d.peerRead(dst, m.id, m.off, m.n)
+		dstData, ok, rep, err := d.peerRead(dst, m.id, m.off, m.n)
 		if err != nil {
 			return changed, err
 		}
-		if ok && bytes.Equal(srcData, dstData) {
+		same := ok && bytes.Equal(srcData, dstData)
+		rep.Release()
+		if same {
 			d.setStatus(func(s *Status) { s.ChunksChecked++ })
 			if hist != nil {
 				hist.RecordSince(t0)
@@ -544,34 +547,41 @@ func (d *Driver) retry(op func() error) error {
 	}
 }
 
-// peerCall makes one retried peer-program call and returns its status
-// and the remaining decoder.
-func (d *Driver) peerCall(a netsim.Addr, proc uint32, args func(*xdr.Encoder)) (uint32, *xdr.Decoder, error) {
+// peerCall makes one retried peer-program call and returns its status,
+// the remaining decoder, and the reply the decoder reads, which the
+// caller releases (on error there is nothing to release).
+func (d *Driver) peerCall(a netsim.Addr, proc uint32, args func(*xdr.Encoder)) (uint32, *xdr.Decoder, oncrpc.Reply, error) {
 	c, err := d.client(a)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, oncrpc.Reply{}, err
 	}
 	var status uint32
 	var dec *xdr.Decoder
+	var rep oncrpc.Reply
 	err = d.retry(func() error {
-		body, err := c.Call(replica.PeerProgram, replica.PeerVersion, proc, func(e *xdr.Encoder) {
+		r, err := c.Call(replica.PeerProgram, replica.PeerVersion, proc, func(e *xdr.Encoder) {
 			e.PutUint64(d.token)
 			args(e)
 		})
 		if err != nil {
 			return err
 		}
-		dec = xdr.NewDecoder(body)
-		status, err = dec.Uint32()
-		return err
+		dec = xdr.NewDecoder(r.Body)
+		if status, err = dec.Uint32(); err != nil {
+			r.Release()
+			return err
+		}
+		rep = r
+		return nil
 	})
 	if err != nil {
-		return 0, nil, fmt.Errorf("rebalance: peer %v proc %d: %w", a, proc, err)
+		return 0, nil, oncrpc.Reply{}, fmt.Errorf("rebalance: peer %v proc %d: %w", a, proc, err)
 	}
 	if status == replica.PeerDenied {
-		return status, nil, fmt.Errorf("rebalance: peer %v denied the bearer token", a)
+		rep.Release()
+		return status, nil, oncrpc.Reply{}, fmt.Errorf("rebalance: peer %v denied the bearer token", a)
 	}
-	return status, dec, nil
+	return status, dec, rep, nil
 }
 
 // listObjects pages a node's object directory.
@@ -579,31 +589,17 @@ func (d *Driver) listObjects(a netsim.Addr) (map[uint64]uint64, error) {
 	out := make(map[uint64]uint64)
 	after := uint64(0)
 	for {
-		n := uint32(0)
-		status, dec, err := d.peerCall(a, replica.PeerProcList, func(e *xdr.Encoder) {
+		status, dec, rep, err := d.peerCall(a, replica.PeerProcList, func(e *xdr.Encoder) {
 			e.PutUint64(after)
 			e.PutUint32(replica.PeerListMax)
 		})
 		if err != nil {
 			return nil, err
 		}
-		if status != replica.PeerOK {
-			return nil, fmt.Errorf("rebalance: list %v: peer status %d", a, status)
-		}
-		if n, err = dec.Uint32(); err != nil {
-			return nil, err
-		}
-		for i := uint32(0); i < n; i++ {
-			id, err := dec.Uint64()
-			if err != nil {
-				return nil, err
-			}
-			size, err := dec.Uint64()
-			if err != nil {
-				return nil, err
-			}
-			out[id] = size
-			after = id
+		n, err := listPage(dec, status, out, &after)
+		rep.Release()
+		if err != nil {
+			return nil, fmt.Errorf("rebalance: list %v: %w", a, err)
 		}
 		if n < replica.PeerListMax {
 			return out, nil
@@ -611,31 +607,67 @@ func (d *Driver) listObjects(a netsim.Addr) (map[uint64]uint64, error) {
 	}
 }
 
-// peerRead fetches one chunk; ok is false when the object is gone.
-func (d *Driver) peerRead(a netsim.Addr, id, off uint64, n uint32) ([]byte, bool, error) {
-	status, dec, err := d.peerCall(a, replica.PeerProcRead, func(e *xdr.Encoder) {
+// listPage decodes one object-directory page into out, advancing the
+// cursor, and returns how many objects it held.
+func listPage(dec *xdr.Decoder, status uint32, out map[uint64]uint64, after *uint64) (uint32, error) {
+	if status != replica.PeerOK {
+		return 0, fmt.Errorf("peer status %d", status)
+	}
+	n, err := dec.Uint32()
+	if err != nil {
+		return 0, err
+	}
+	for i := uint32(0); i < n; i++ {
+		id, err := dec.Uint64()
+		if err != nil {
+			return 0, err
+		}
+		size, err := dec.Uint64()
+		if err != nil {
+			return 0, err
+		}
+		out[id] = size
+		*after = id
+	}
+	return n, nil
+}
+
+// peerRead fetches one chunk; ok is false when the object is gone. data
+// aliases the returned reply, which the caller releases once done with
+// it.
+func (d *Driver) peerRead(a netsim.Addr, id, off uint64, n uint32) ([]byte, bool, oncrpc.Reply, error) {
+	status, dec, rep, err := d.peerCall(a, replica.PeerProcRead, func(e *xdr.Encoder) {
 		e.PutUint64(id)
 		e.PutUint64(off)
 		e.PutUint32(n)
 	})
 	if err != nil {
-		return nil, false, err
-	}
-	if status == replica.PeerNoObj {
-		return nil, false, nil
+		return nil, false, oncrpc.Reply{}, err
 	}
 	if status != replica.PeerOK {
-		return nil, false, fmt.Errorf("rebalance: read %v obj %d: peer status %d", a, id, status)
+		rep.Release()
+		if status == replica.PeerNoObj {
+			return nil, false, oncrpc.Reply{}, nil
+		}
+		return nil, false, oncrpc.Reply{}, fmt.Errorf("rebalance: read %v obj %d: peer status %d", a, id, status)
 	}
 	data, err := dec.Opaque()
 	if err != nil {
-		return nil, false, err
+		rep.Release()
+		return nil, false, oncrpc.Reply{}, err
 	}
-	return data, true, nil
+	return data, true, rep, nil
+}
+
+// peerDo makes a peer call whose reply carries nothing past its status.
+func (d *Driver) peerDo(a netsim.Addr, proc uint32, args func(*xdr.Encoder)) (uint32, error) {
+	status, _, rep, err := d.peerCall(a, proc, args)
+	rep.Release()
+	return status, err
 }
 
 func (d *Driver) peerWrite(a netsim.Addr, id, off uint64, data []byte) error {
-	status, _, err := d.peerCall(a, replica.PeerProcWrite, func(e *xdr.Encoder) {
+	status, err := d.peerDo(a, replica.PeerProcWrite, func(e *xdr.Encoder) {
 		e.PutUint64(id)
 		e.PutUint64(off)
 		e.PutOpaque(data)
@@ -650,7 +682,7 @@ func (d *Driver) peerWrite(a netsim.Addr, id, off uint64, data []byte) error {
 }
 
 func (d *Driver) peerTruncate(a netsim.Addr, id, size uint64) error {
-	status, _, err := d.peerCall(a, replica.PeerProcTruncate, func(e *xdr.Encoder) {
+	status, err := d.peerDo(a, replica.PeerProcTruncate, func(e *xdr.Encoder) {
 		e.PutUint64(id)
 		e.PutUint64(size)
 	})
@@ -664,7 +696,7 @@ func (d *Driver) peerTruncate(a netsim.Addr, id, size uint64) error {
 }
 
 func (d *Driver) peerRemove(a netsim.Addr, id uint64) error {
-	status, _, err := d.peerCall(a, replica.PeerProcRemove, func(e *xdr.Encoder) {
+	status, err := d.peerDo(a, replica.PeerProcRemove, func(e *xdr.Encoder) {
 		e.PutUint64(id)
 	})
 	if err != nil {
@@ -724,7 +756,7 @@ func (d *Driver) intend(epoch uint64) uint64 {
 	if err != nil {
 		return 0
 	}
-	body, err := c.Call(coord.Program, coord.Version, coord.ProcIntend, func(e *xdr.Encoder) {
+	rep, err := c.Call(coord.Program, coord.Version, coord.ProcIntend, func(e *xdr.Encoder) {
 		e.PutUint32(coord.OpMigrate)
 		fhandle.Handle{}.Encode(e)
 		e.PutUint64(epoch)
@@ -732,7 +764,8 @@ func (d *Driver) intend(epoch uint64) uint64 {
 	if err != nil {
 		return 0
 	}
-	dec := xdr.NewDecoder(body)
+	defer rep.Release()
+	dec := xdr.NewDecoder(rep.Body)
 	if st, err := dec.Uint32(); err != nil || st != 0 {
 		return 0
 	}
@@ -751,9 +784,10 @@ func (d *Driver) complete(id uint64) {
 	if err != nil {
 		return
 	}
-	_, _ = c.Call(coord.Program, coord.Version, coord.ProcComplete, func(e *xdr.Encoder) {
+	rep, _ := c.Call(coord.Program, coord.Version, coord.ProcComplete, func(e *xdr.Encoder) {
 		e.PutUint64(id)
 	})
+	rep.Release()
 }
 
 // distinct returns the distinct addresses in first-appearance order.

@@ -84,75 +84,91 @@ func Resync(c *oncrpc.Client, token uint64, window int, dst ResyncTarget) (Resyn
 		off uint64
 	}
 	inflight := make([]chunk, 0, window)
+	// A failed resync still awaits the reads it started, freeing their
+	// replies: each Pending is awaited once, and its reply released.
+	defer func() {
+		for _, ck := range inflight {
+			rep, _ := ck.pd.Await()
+			rep.Release()
+		}
+	}()
+	// store writes one awaited chunk into dst.
+	store := func(ck chunk) error {
+		rep, err := ck.pd.Await()
+		if err != nil {
+			return fmt.Errorf("replica: resync read obj %d @%d: %w", ck.id, ck.off, err)
+		}
+		defer rep.Release()
+		d := xdr.NewDecoder(rep.Body)
+		status, err := d.Uint32()
+		if err != nil {
+			return err
+		}
+		if status == PeerNoObj {
+			// Removed under us; the remove also fanned out here.
+			return nil
+		}
+		if status != PeerOK {
+			return fmt.Errorf("replica: resync read obj %d: peer status %d", ck.id, status)
+		}
+		data, err := d.Opaque()
+		if err != nil || len(data) == 0 {
+			return err
+		}
+		if err := dst.WriteAt(ck.id, ck.off, data); err != nil {
+			return err
+		}
+		st.Bytes += int64(len(data))
+		return nil
+	}
 	drain := func(min int) error {
 		for len(inflight) > min {
 			ck := inflight[0]
 			inflight = inflight[1:]
-			body, err := ck.pd.Await()
-			if err != nil {
-				return fmt.Errorf("replica: resync read obj %d @%d: %w", ck.id, ck.off, err)
-			}
-			d := xdr.NewDecoder(body)
-			status, err := d.Uint32()
-			if err != nil {
+			if err := store(ck); err != nil {
 				return err
 			}
-			if status == PeerNoObj {
-				// Removed under us; the remove also fanned out here.
-				continue
-			}
-			if status != PeerOK {
-				return fmt.Errorf("replica: resync read obj %d: peer status %d", ck.id, status)
-			}
-			data, err := d.Opaque()
-			if err != nil {
-				return err
-			}
-			if len(data) == 0 {
-				continue
-			}
-			if err := dst.WriteAt(ck.id, ck.off, data); err != nil {
-				return err
-			}
-			st.Bytes += int64(len(data))
 		}
 		return nil
 	}
 
+	// page lists the objects after the cursor, sizes each one and starts
+	// reading its bytes. It returns how many objects the page held.
 	after := uint64(0)
-	for {
-		body, err := c.Call(PeerProgram, PeerVersion, PeerProcList, func(e *xdr.Encoder) {
+	page := func() (uint32, error) {
+		rep, err := c.Call(PeerProgram, PeerVersion, PeerProcList, func(e *xdr.Encoder) {
 			e.PutUint64(token)
 			e.PutUint64(after)
 			e.PutUint32(PeerListMax)
 		})
 		if err != nil {
-			return st, fmt.Errorf("replica: resync list: %w", err)
+			return 0, fmt.Errorf("replica: resync list: %w", err)
 		}
-		d := xdr.NewDecoder(body)
+		defer rep.Release()
+		d := xdr.NewDecoder(rep.Body)
 		status, err := d.Uint32()
 		if err != nil {
-			return st, err
+			return 0, err
 		}
 		if status != PeerOK {
-			return st, fmt.Errorf("replica: resync list: peer status %d", status)
+			return 0, fmt.Errorf("replica: resync list: peer status %d", status)
 		}
 		n, err := d.Uint32()
 		if err != nil {
-			return st, err
+			return 0, err
 		}
 		for i := uint32(0); i < n; i++ {
 			id, err := d.Uint64()
 			if err != nil {
-				return st, err
+				return 0, err
 			}
 			size, err := d.Uint64()
 			if err != nil {
-				return st, err
+				return 0, err
 			}
 			after = id
 			if err := dst.Truncate(id, size); err != nil {
-				return st, err
+				return 0, err
 			}
 			st.Objects++
 			for off := uint64(0); off < size; off += PeerChunk {
@@ -161,7 +177,7 @@ func Resync(c *oncrpc.Client, token uint64, window int, dst ResyncTarget) (Resyn
 					count = uint32(size - off)
 				}
 				if err := drain(window - 1); err != nil {
-					return st, err
+					return 0, err
 				}
 				id, off := id, off
 				pd := c.CallStart(PeerProgram, PeerVersion, PeerProcRead, func(e *xdr.Encoder) {
@@ -172,6 +188,13 @@ func Resync(c *oncrpc.Client, token uint64, window int, dst ResyncTarget) (Resyn
 				})
 				inflight = append(inflight, chunk{pd: pd, id: id, off: off})
 			}
+		}
+		return n, nil
+	}
+	for {
+		n, err := page()
+		if err != nil {
+			return st, err
 		}
 		if n < PeerListMax {
 			break

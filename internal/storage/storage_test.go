@@ -199,12 +199,13 @@ func TestNodeWriteReadCommitRPC(t *testing.T) {
 	fh := testFH(5)
 
 	wargs := nfsproto.WriteArgs{FH: fh, Offset: 0, Count: 5, Stable: nfsproto.Unstable, Data: []byte("12345")}
-	body, err := cli.Call(nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcWrite), wargs.Encode)
+	rep, err := cli.Call(nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcWrite), wargs.Encode)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rep.Release()
 	var wres nfsproto.WriteRes
-	if err := wres.Decode(xdr.NewDecoder(body)); err != nil {
+	if err := wres.Decode(xdr.NewDecoder(rep.Body)); err != nil {
 		t.Fatal(err)
 	}
 	if wres.Status != nfsproto.OK || wres.Count != 5 || wres.Committed != nfsproto.Unstable {
@@ -215,23 +216,25 @@ func TestNodeWriteReadCommitRPC(t *testing.T) {
 	}
 
 	cargs := nfsproto.CommitArgs{FH: fh}
-	body, err = cli.Call(nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcCommit), cargs.Encode)
+	rep, err = cli.Call(nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcCommit), cargs.Encode)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rep.Release()
 	var cres nfsproto.CommitRes
-	_ = cres.Decode(xdr.NewDecoder(body))
+	_ = cres.Decode(xdr.NewDecoder(rep.Body))
 	if cres.Status != nfsproto.OK || cres.Verf == 0 {
 		t.Fatalf("commit res %+v", cres)
 	}
 
 	rargs := nfsproto.ReadArgs{FH: fh, Offset: 0, Count: 5}
-	body, err = cli.Call(nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcRead), rargs.Encode)
+	rep, err = cli.Call(nfsproto.Program, nfsproto.Version, uint32(nfsproto.ProcRead), rargs.Encode)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rep.Release()
 	var rres nfsproto.ReadRes
-	_ = rres.Decode(xdr.NewDecoder(body))
+	_ = rres.Decode(xdr.NewDecoder(rep.Body))
 	if rres.Status != nfsproto.OK || string(rres.Data) != "12345" {
 		t.Fatalf("read res %+v", rres)
 	}
@@ -245,12 +248,13 @@ func TestNodeObjProgramRPC(t *testing.T) {
 	}
 
 	// Stat sees it.
-	body, err := cli.Call(ObjProgram, ObjVersion, ObjProcStat, func(e *xdr.Encoder) { fh.Encode(e) })
+	rep, err := cli.Call(ObjProgram, ObjVersion, ObjProcStat, func(e *xdr.Encoder) { fh.Encode(e) })
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer rep.Release()
 	var st ObjStatRes
-	if err := st.Decode(xdr.NewDecoder(body)); err != nil {
+	if err := st.Decode(xdr.NewDecoder(rep.Body)); err != nil {
 		t.Fatal(err)
 	}
 	if st.Status != nfsproto.OK || st.Size != 13 {
@@ -258,29 +262,32 @@ func TestNodeObjProgramRPC(t *testing.T) {
 	}
 
 	// Truncate.
-	_, err = cli.Call(ObjProgram, ObjVersion, ObjProcTruncate, func(e *xdr.Encoder) {
+	rep, err = cli.Call(ObjProgram, ObjVersion, ObjProcTruncate, func(e *xdr.Encoder) {
 		fh.Encode(e)
 		e.PutUint64(4)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep.Release()
 	if size, _ := node.Store().Size(ObjectOf(fh)); size != 4 {
 		t.Fatalf("size after RPC truncate = %d", size)
 	}
 
 	// Remove.
-	_, err = cli.Call(ObjProgram, ObjVersion, ObjProcRemove, func(e *xdr.Encoder) { fh.Encode(e) })
+	rep, err = cli.Call(ObjProgram, ObjVersion, ObjProcRemove, func(e *xdr.Encoder) { fh.Encode(e) })
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep.Release()
 	if _, ok := node.Store().Size(ObjectOf(fh)); ok {
 		t.Fatal("object survived RPC remove")
 	}
 
 	// Stat now reports ENOENT.
-	body, _ = cli.Call(ObjProgram, ObjVersion, ObjProcStat, func(e *xdr.Encoder) { fh.Encode(e) })
-	_ = st.Decode(xdr.NewDecoder(body))
+	rep, _ = cli.Call(ObjProgram, ObjVersion, ObjProcStat, func(e *xdr.Encoder) { fh.Encode(e) })
+	defer rep.Release()
+	_ = st.Decode(xdr.NewDecoder(rep.Body))
 	if st.Status != nfsproto.ErrNoEnt {
 		t.Fatalf("stat of removed object: %v", st.Status)
 	}

@@ -41,7 +41,24 @@ const (
 	// DefaultIdleTimeout is how long a peer may stay quiet before its
 	// fabric port and pump goroutine are reclaimed.
 	DefaultIdleTimeout = 2 * time.Minute
+
+	// socketBuffer is the kernel send and receive buffer size both ends
+	// of a gateway ask for: room for a 64-chunk window of 64 KiB
+	// datagrams. A windowed client overflows the Linux default (212992
+	// bytes); the overflow is lost without a trace and its calls stall
+	// on retransmission timeouts. The kernel caps the request at
+	// net.core.rmem_max and wmem_max.
+	socketBuffer = 64 * (64 << 10)
 )
+
+// sizeBuffers asks the kernel for socketBuffer bytes of send and
+// receive buffer on c.
+func sizeBuffers(c *net.UDPConn) error {
+	if err := c.SetReadBuffer(socketBuffer); err != nil {
+		return err
+	}
+	return c.SetWriteBuffer(socketBuffer)
+}
 
 // synthHosts allocates synthetic peer hosts process-wide, not per
 // gateway: a fleet runs one gateway per member over one shared fabric,
@@ -112,6 +129,10 @@ func NewGateway(listen string, fabric *netsim.Network, virtual netsim.Addr) (*Ga
 	}
 	conn, err := net.ListenUDP("udp", addr)
 	if err != nil {
+		return nil, err
+	}
+	if err := sizeBuffers(conn); err != nil {
+		conn.Close()
 		return nil, err
 	}
 	g := &Gateway{
@@ -334,6 +355,10 @@ func Dial(server string) (*Conn, error) {
 	}
 	c, err := net.DialUDP("udp", nil, addr)
 	if err != nil {
+		return nil, err
+	}
+	if err := sizeBuffers(c); err != nil {
+		c.Close()
 		return nil, err
 	}
 	return &Conn{conn: c}, nil

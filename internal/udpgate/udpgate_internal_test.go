@@ -2,6 +2,10 @@ package udpgate
 
 import (
 	"net"
+	"os"
+	"strconv"
+	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -234,5 +238,72 @@ func BenchmarkConnRecv(b *testing.B) {
 			b.Fatalf("recv %d bytes", len(d))
 		}
 		netsim.FreeBuf(d)
+	}
+}
+
+// sockopt reads one SOL_SOCKET option of c.
+func sockopt(t *testing.T, c *net.UDPConn, opt int) int {
+	t.Helper()
+	raw, err := c.SyscallConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v int
+	var gerr error
+	if err := raw.Control(func(fd uintptr) {
+		v, gerr = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, opt)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if gerr != nil {
+		t.Fatal(gerr)
+	}
+	return v
+}
+
+// sysctlInt reads an integer kernel limit, skipping the test where the
+// system does not expose it.
+func sysctlInt(t *testing.T, path string) int {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Skipf("cannot read %s: %v", path, err)
+	}
+	v, err := strconv.Atoi(strings.TrimSpace(string(b)))
+	if err != nil {
+		t.Skipf("%s: %v", path, err)
+	}
+	return v
+}
+
+// TestSocketBuffersSized: both ends of a gateway ask the kernel for
+// socketBuffer bytes of receive and send buffer, so a full client window
+// of 64 KiB datagrams is not dropped at the socket. The kernel caps the
+// request at rmem_max/wmem_max, so each end must read back at least the
+// smaller of the two.
+func TestSocketBuffersSized(t *testing.T) {
+	want := func(limit string) int { return min(socketBuffer, sysctlInt(t, limit)) }
+	wantR, wantW := want("/proc/sys/net/core/rmem_max"), want("/proc/sys/net/core/wmem_max")
+	n := netsim.New(netsim.Config{})
+	g, err := NewGateway("127.0.0.1:0", n, netsim.Addr{Host: 2, Port: 2049})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	c, err := Dial(g.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, end := range []struct {
+		name string
+		conn *net.UDPConn
+	}{{"gateway", g.conn}, {"client", c.conn}} {
+		if got := sockopt(t, end.conn, syscall.SO_RCVBUF); got < wantR {
+			t.Errorf("%s SO_RCVBUF = %d, want >= %d", end.name, got, wantR)
+		}
+		if got := sockopt(t, end.conn, syscall.SO_SNDBUF); got < wantW {
+			t.Errorf("%s SO_SNDBUF = %d, want >= %d", end.name, got, wantW)
+		}
 	}
 }

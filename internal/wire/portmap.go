@@ -161,11 +161,12 @@ func (p *Portmap) serve(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
 var xidCounter atomic.Uint32
 
 // rpcOnce performs a single record-marked RPC over a fresh TCP
-// connection: the one-shot discovery pattern of a mounting client.
-func rpcOnce(server string, prog, vers, proc uint32, args func(*xdr.Encoder)) ([]byte, error) {
+// connection — the one-shot discovery pattern of a mounting client — and
+// decodes the result into res straight from the pooled reply record.
+func rpcOnce(server string, prog, vers, proc uint32, args func(*xdr.Encoder), res nfsproto.Msg) error {
 	tcp, err := net.Dial("tcp", server)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer tcp.Close()
 	xid := xidCounter.Add(1)
@@ -174,42 +175,36 @@ func rpcOnce(server string, prog, vers, proc uint32, args func(*xdr.Encoder)) ([
 	err = writeRecord(bw, call, 0)
 	netsim.FreeBuf(call)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := bw.Flush(); err != nil {
-		return nil, err
+		return err
 	}
 	_ = tcp.SetReadDeadline(time.Now().Add(10 * time.Second))
 	rec, err := readRecord(bufio.NewReader(tcp), 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer netsim.FreeBuf(rec)
 	rep, err := oncrpc.ParseReply(rec)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if rep.Xid != xid {
-		return nil, fmt.Errorf("wire: reply xid %d for call %d", rep.Xid, xid)
+		return fmt.Errorf("wire: reply xid %d for call %d", rep.Xid, xid)
 	}
 	if rep.Accept != oncrpc.AcceptSuccess {
-		return nil, &oncrpc.ErrRejected{Accept: rep.Accept}
+		return &oncrpc.ErrRejected{Accept: rep.Accept}
 	}
-	body := make([]byte, len(rep.Body))
-	copy(body, rep.Body)
-	return body, nil
+	return res.Decode(xdr.NewDecoder(rep.Body))
 }
 
 // GetPort asks the portmapper at server where (prog, vers, prot)
 // listens; 0 means unregistered.
 func GetPort(server string, prog, vers, prot uint32) (uint32, error) {
-	body, err := rpcOnce(server, nfsproto.PortmapProgram, nfsproto.PortmapVersion,
-		nfsproto.PortmapProcGetPort, (&nfsproto.Mapping{Prog: prog, Vers: vers, Prot: prot}).Encode)
-	if err != nil {
-		return 0, err
-	}
 	var res nfsproto.GetPortRes
-	if err := res.Decode(xdr.NewDecoder(body)); err != nil {
+	if err := rpcOnce(server, nfsproto.PortmapProgram, nfsproto.PortmapVersion,
+		nfsproto.PortmapProcGetPort, (&nfsproto.Mapping{Prog: prog, Vers: vers, Prot: prot}).Encode, &res); err != nil {
 		return 0, err
 	}
 	return res.Port, nil
@@ -217,13 +212,9 @@ func GetPort(server string, prog, vers, prot uint32) (uint32, error) {
 
 // Dump returns every registration of the portmapper at server.
 func Dump(server string) ([]nfsproto.Mapping, error) {
-	body, err := rpcOnce(server, nfsproto.PortmapProgram, nfsproto.PortmapVersion,
-		nfsproto.PortmapProcDump, nil)
-	if err != nil {
-		return nil, err
-	}
 	var res nfsproto.DumpRes
-	if err := res.Decode(xdr.NewDecoder(body)); err != nil {
+	if err := rpcOnce(server, nfsproto.PortmapProgram, nfsproto.PortmapVersion,
+		nfsproto.PortmapProcDump, nil, &res); err != nil {
 		return nil, err
 	}
 	return res.Mappings, nil

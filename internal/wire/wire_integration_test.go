@@ -72,26 +72,28 @@ func TestWireConformance(t *testing.T) {
 	mnt := oncrpc.NewClient(mconn, e.Virtual, oncrpc.ClientConfig{})
 	defer mnt.Close()
 
-	body, err := mnt.Call(nfsproto.MountProgram, nfsproto.MountVersion,
+	rep, err := mnt.Call(nfsproto.MountProgram, nfsproto.MountVersion,
 		nfsproto.MountProcExport, nil)
 	if err != nil {
 		t.Fatalf("EXPORT: %v", err)
 	}
+	defer rep.Release()
 	var exp nfsproto.ExportRes
-	if err := exp.Decode(xdr.NewDecoder(body)); err != nil {
+	if err := exp.Decode(xdr.NewDecoder(rep.Body)); err != nil {
 		t.Fatalf("EXPORT decode: %v", err)
 	}
 	if len(exp.Entries) != 1 || exp.Entries[0].Dir != dirsrv.ExportPath {
 		t.Fatalf("EXPORT = %+v, want [%s]", exp.Entries, dirsrv.ExportPath)
 	}
 
-	body, err = mnt.Call(nfsproto.MountProgram, nfsproto.MountVersion,
+	rep, err = mnt.Call(nfsproto.MountProgram, nfsproto.MountVersion,
 		nfsproto.MountProcMnt, (&nfsproto.MountPathArgs{Path: dirsrv.ExportPath}).Encode)
 	if err != nil {
 		t.Fatalf("MNT: %v", err)
 	}
+	defer rep.Release()
 	var mres nfsproto.MountMntRes
-	if err := mres.Decode(xdr.NewDecoder(body)); err != nil {
+	if err := mres.Decode(xdr.NewDecoder(rep.Body)); err != nil {
 		t.Fatalf("MNT decode: %v", err)
 	}
 	if mres.Status != nfsproto.OK {
@@ -100,22 +102,25 @@ func TestWireConformance(t *testing.T) {
 	if mres.FH != e.Root {
 		t.Fatalf("MNT handle %v != export root %v", mres.FH, e.Root)
 	}
-	body, err = mnt.Call(nfsproto.MountProgram, nfsproto.MountVersion,
+	rep, err = mnt.Call(nfsproto.MountProgram, nfsproto.MountVersion,
 		nfsproto.MountProcMnt, (&nfsproto.MountPathArgs{Path: "/no/such/export"}).Encode)
 	if err != nil {
 		t.Fatalf("MNT bogus path: %v", err)
 	}
+	defer rep.Release()
 	var bogus nfsproto.MountMntRes
-	if err := bogus.Decode(xdr.NewDecoder(body)); err != nil {
+	if err := bogus.Decode(xdr.NewDecoder(rep.Body)); err != nil {
 		t.Fatalf("MNT bogus decode: %v", err)
 	}
 	if bogus.Status == nfsproto.OK {
 		t.Fatal("MNT accepted a path outside the export list")
 	}
-	if _, err := mnt.Call(nfsproto.MountProgram, nfsproto.MountVersion,
-		nfsproto.MountProcUmnt, (&nfsproto.MountPathArgs{Path: dirsrv.ExportPath}).Encode); err != nil {
+	rep, err = mnt.Call(nfsproto.MountProgram, nfsproto.MountVersion,
+		nfsproto.MountProcUmnt, (&nfsproto.MountPathArgs{Path: dirsrv.ExportPath}).Encode)
+	if err != nil {
 		t.Fatalf("UMNT: %v", err)
 	}
+	rep.Release()
 
 	// NFSv3 session over the same transport: untar a tree, then write a
 	// file whose 128 KiB stripe chunks force records past the old cap.
