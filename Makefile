@@ -76,11 +76,15 @@ bench-gate:
 	    || { cat bench_rebalance.out; exit 1; }
 	$(GO) run ./cmd/benchgate -baseline BENCH_rebalance.json -input bench_rebalance.out -tolerance $(BENCH_TOLERANCE)
 
-# Static analysis beyond vet. The tools are not vendored: offline
-# checkouts skip a missing tool with a note, but under CI=1 a missing
-# tool is an error — the lint job must never silently pass because an
-# install step broke.
+# Static analysis beyond vet. Every Go file must be gofmt-clean (gofmt
+# ships with the toolchain, so this check never skips). The other tools
+# are not vendored: offline checkouts skip a missing tool with a note,
+# but under CI=1 a missing tool is an error — the lint job must never
+# silently pass because an install step broke.
 lint: vet
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+	    echo "lint: not gofmt-clean (run gofmt -w):"; echo "$$unformatted"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 	    staticcheck ./... ; \
 	elif [ -n "$(CI)" ]; then \

@@ -731,6 +731,8 @@ func (c *Client) raTake(id fhandle.Key, off uint64, max int) *raEntry {
 // raFinish records where the stream now stands and, when the read was
 // sequential and did not hit EOF, tops the prefetch horizon up to
 // Readahead chunks ahead using only window slots that are free right now.
+// Prefetch stops one slot short of a full window: after a seek, the
+// demand read must not wait for the stale prefetches it has just dropped.
 func (c *Client) raFinish(fh fhandle.Handle, id fhandle.Key, next uint64, eof, prefetch bool) {
 	if c.cfg.Readahead <= 0 {
 		return
@@ -759,10 +761,11 @@ func (c *Client) raFinish(fh fhandle.Handle, id fhandle.Key, next uint64, eof, p
 	}
 	budget := c.cfg.Readahead - len(c.ra.entries)
 	var started []*raEntry
-	for budget > 0 && c.ra.horizon < c.ra.eofAt {
+	for budget > 0 && c.ra.horizon < c.ra.eofAt && c.raSlots < cap(c.win)-1 {
 		if !c.tryAcquire() {
 			break
 		}
+		c.raSlots++
 		end := c.chunkEnd(c.ra.horizon)
 		e := &raEntry{
 			off: c.ra.horizon, want: int(end - c.ra.horizon),
@@ -798,6 +801,7 @@ func (c *Client) prefetchWorker(fh fhandle.Handle, e *raEntry) {
 		e.data, e.eof, e.err, e.rep = data, eof || len(data) == 0, err, rep
 		e.done = true
 	}
+	c.raSlots--
 	c.bulkMu.Unlock()
 	close(e.ready)
 	c.release()

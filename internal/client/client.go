@@ -105,6 +105,7 @@ type Client struct {
 	files   map[fhandle.Key]*fileIO // files with write-behind state
 	tail    *writeTail              // buffered sequential write tail
 	ra      raState                 // sequential readahead cache
+	raSlots int                     // window slots held by prefetch READs
 }
 
 // New creates a client on the netsim fabric. Call Mount before file

@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -309,6 +310,59 @@ func TestReadaheadDroppedBySeekFreesReplies(t *testing.T) {
 	}
 	conn.release()
 	waitReads(t, reg, 3+prefetchDepth)
+	c.Close()
+	expectBalanced(t, base)
+}
+
+// TestSeekReadNotBlockedByStalePrefetch: with Readahead = Window and
+// every prefetch reply withheld, a read that seeks away from the stream
+// still finds a free window slot. Prefetch used to take every slot, and
+// the demand read waited for the stale prefetches it had just dropped.
+func TestSeekReadNotBlockedByStalePrefetch(t *testing.T) {
+	const window = 4
+	base := netsim.SettledOutstanding()
+	data := make([]byte, 256<<10)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	conn := newScriptConn(data)
+	conn.setHold(func(proc nfsproto.Proc, off uint64, _ uint32) bool {
+		return proc == nfsproto.ProcRead && off >= 64<<10
+	})
+	c, reg := newScriptClient(conn, window, window)
+	buf := make([]byte, 32<<10)
+	for off := 0; off < 64<<10; off += len(buf) {
+		if n, _, err := c.Read(scriptFH, uint64(off), buf); err != nil || !bytes.Equal(buf[:n], data[off:off+n]) {
+			t.Fatalf("read at %d: %d, %v (or data mismatch)", off, n, err)
+		}
+	}
+	waitUntil(t, "readahead in flight", func() bool { return conn.numHeld() >= window-1 })
+	time.Sleep(20 * time.Millisecond) // let prefetch take every slot it will
+	prefetched := conn.numHeld()
+
+	done := make(chan error, 1)
+	go func() {
+		n, _, err := c.Read(scriptFH, 0, buf)
+		if err == nil && !bytes.Equal(buf[:n], data[:n]) {
+			err = fmt.Errorf("data mismatch")
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("read after seek: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		conn.release()
+		<-done
+		t.Fatalf("read after seek blocked behind %d withheld prefetch READs (window %d)", prefetched, window)
+	}
+	if prefetched >= window {
+		t.Fatalf("prefetch holds %d of %d window slots", prefetched, window)
+	}
+	conn.release()
+	waitReads(t, reg, 3+prefetched)
 	c.Close()
 	expectBalanced(t, base)
 }

@@ -407,7 +407,7 @@ func New(cfg Config) (*Ensemble, error) {
 	// embedded portmapper pointing real clients at gateway 0.
 	if cfg.TCPListen != "" {
 		for i := 0; i < cfg.Proxies; i++ {
-			listen, err := memberListen(cfg.TCPListen, i)
+			listen, err := MemberListen(cfg.TCPListen, i)
 			if err != nil {
 				e.Close()
 				return nil, err
@@ -417,11 +417,7 @@ func New(cfg Config) (*Ensemble, error) {
 				e.Close()
 				return nil, fmt.Errorf("ensemble: wire gateway %d: %w", i, err)
 			}
-			name := "wire"
-			if i > 0 {
-				name = fmt.Sprintf("wire[%d]", i)
-			}
-			reg := obs.NewRegistry(name)
+			reg := obs.NewRegistry(MemberName("wire", i))
 			gw.SetObs(reg)
 			e.Obs.AddRegistry(reg)
 			e.Gateways = append(e.Gateways, gw)
@@ -448,16 +444,26 @@ func New(cfg Config) (*Ensemble, error) {
 	return e, nil
 }
 
-// memberListen derives fleet member i's TCP listen address from the
-// configured one: an explicit port p maps to p+i, port 0 stays 0.
-func memberListen(listen string, i int) (string, error) {
+// MemberName labels fleet member i's instance of a per-member component
+// in the obs collector: member 0 keeps the bare name single-proxy
+// tooling expects ("wire"), the others are indexed ("wire[1]").
+func MemberName(name string, i int) string {
+	if i == 0 {
+		return name
+	}
+	return fmt.Sprintf("%s[%d]", name, i)
+}
+
+// MemberListen derives fleet member i's listen address from member 0's:
+// an explicit port p maps to p+i, port 0 stays 0.
+func MemberListen(listen string, i int) (string, error) {
 	host, portStr, err := net.SplitHostPort(listen)
 	if err != nil {
-		return "", fmt.Errorf("ensemble: bad TCPListen %q: %w", listen, err)
+		return "", fmt.Errorf("ensemble: bad listen address %q: %w", listen, err)
 	}
 	port, err := strconv.Atoi(portStr)
 	if err != nil {
-		return "", fmt.Errorf("ensemble: bad TCPListen port %q: %w", portStr, err)
+		return "", fmt.Errorf("ensemble: bad listen port %q: %w", portStr, err)
 	}
 	if port != 0 {
 		port += i
@@ -478,10 +484,7 @@ func NewFleet(n int, cfg Config) (*Ensemble, error) {
 // AddRegistry/AddTracer replace same-name entries, so a restarted proxy
 // reports under its old label.
 func (e *Ensemble) proxyObs(i int) (*obs.Registry, *obs.Tracer) {
-	name := "uproxy"
-	if i > 0 {
-		name = fmt.Sprintf("uproxy[%d]", i)
-	}
+	name := MemberName("uproxy", i)
 	reg := obs.NewRegistry(name)
 	e.Obs.AddRegistry(reg)
 	if i == 0 {

@@ -41,7 +41,7 @@ type Group struct {
 type mapState struct {
 	degree    int
 	groups    []Group
-	slots     int // total members across groups
+	slots     int                   // total members across groups
 	byPrimary map[netsim.Addr]int32 // primary address -> group index
 	byMember  map[netsim.Addr]int32 // any member address -> group index
 	version   uint64

@@ -5,23 +5,29 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"slice/internal/netsim"
 	"slice/internal/obs"
+	"slice/internal/wire"
 )
 
 // startEcho binds the virtual address and echoes every payload back to
 // its fabric source, standing in for the ensemble behind the gateway.
-func startEcho(t *testing.T, n *netsim.Network, virtual netsim.Addr) {
+// The returned function lists the distinct fabric sources seen so far:
+// the synthetic addresses the gateway relayed from.
+func startEcho(t *testing.T, n *netsim.Network, virtual netsim.Addr) func() []netsim.Addr {
 	t.Helper()
 	p, err := n.Bind(virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
+	var mu sync.Mutex
+	seen := map[netsim.Addr]bool{}
 	go func() {
 		for {
 			d, err := p.Recv(0)
@@ -30,11 +36,28 @@ func startEcho(t *testing.T, n *netsim.Network, virtual netsim.Addr) {
 			}
 			h, err := netsim.Parse(d)
 			if err == nil {
+				mu.Lock()
+				seen[h.Src] = true
+				mu.Unlock()
 				_ = p.SendTo(h.Src, netsim.Payload(d))
 			}
 			netsim.FreeBuf(d)
 		}
 	}()
+	return func() []netsim.Addr {
+		mu.Lock()
+		defer mu.Unlock()
+		var out []netsim.Addr
+		for a := range seen {
+			out = append(out, a)
+		}
+		return out
+	}
+}
+
+// inSynthRange reports whether host lies in the synthetic peer range.
+func inSynthRange(host uint32) bool {
+	return host >= wire.SynthHostFirst && host-wire.SynthHostFirst < wire.SynthHostSpan
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -68,19 +91,18 @@ func pingPong(t *testing.T, c *net.UDPConn, msg string) {
 }
 
 // TestIdlePeerEviction pins the reclamation fix: peers used to pin one
-// fabric port and one pumpOut goroutine forever; now an idle peer's port
+// fabric port and one reply-pump goroutine forever; now an idle peer's port
 // is closed and its goroutine drained, and a returning remote is simply
 // re-admitted with a fresh synthetic address.
 func TestIdlePeerEviction(t *testing.T) {
 	n := netsim.New(netsim.Config{})
 	virtual := netsim.Addr{Host: 100, Port: 2049}
 	startEcho(t, n, virtual)
-	gw, err := NewGateway("127.0.0.1:0", n, virtual)
+	gw, err := newGateway("127.0.0.1:0", n, virtual, 40*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer gw.Close()
-	gw.SetIdleTimeout(40 * time.Millisecond)
 
 	dial := func() *net.UDPConn {
 		addr, _ := net.ResolveUDPAddr("udp", gw.Addr().String())
@@ -117,7 +139,7 @@ func TestIdlePeerEviction(t *testing.T) {
 func TestConnAddrOutsideSyntheticRange(t *testing.T) {
 	n := netsim.New(netsim.Config{})
 	virtual := netsim.Addr{Host: 100, Port: 2049}
-	startEcho(t, n, virtual)
+	sources := startEcho(t, n, virtual)
 	gw, err := NewGateway("127.0.0.1:0", n, virtual)
 	if err != nil {
 		t.Fatal(err)
@@ -132,23 +154,30 @@ func TestConnAddrOutsideSyntheticRange(t *testing.T) {
 	defer c.Close()
 	pingPong(t, c, "hello")
 
-	placeholder := (&Conn{}).Addr()
-	gw.mu.Lock()
-	defer gw.mu.Unlock()
-	if len(gw.peers) != 1 {
-		t.Fatalf("peers = %d, want 1", len(gw.peers))
+	client, err := Dial(gw.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range gw.peers {
-		host := p.port.Addr().Host
+	defer client.Close()
+	placeholder := client.Addr()
+	if got := gw.NumPeers(); got != 1 {
+		t.Fatalf("peers = %d, want 1", got)
+	}
+	peers := sources()
+	if len(peers) != 1 {
+		t.Fatalf("fabric sources = %v, want 1", peers)
+	}
+	for _, p := range peers {
+		host := p.Host
 		if host == placeholder.Host {
 			t.Fatalf("first synthetic peer host %#x collides with Conn placeholder %#x", host, placeholder.Host)
 		}
-		if host <= synthHostBase {
-			t.Fatalf("synthetic peer host %#x outside synthetic range (base %#x)", host, synthHostBase)
+		if !inSynthRange(host) {
+			t.Fatalf("synthetic peer host %#x outside synthetic range [%#x, +%#x)", host, wire.SynthHostFirst, wire.SynthHostSpan)
 		}
 	}
-	if placeholder.Host >= synthHostBase {
-		t.Fatalf("placeholder host %#x inside synthetic range (base %#x)", placeholder.Host, synthHostBase)
+	if inSynthRange(placeholder.Host) {
+		t.Fatalf("placeholder host %#x inside synthetic range [%#x, +%#x)", placeholder.Host, wire.SynthHostFirst, wire.SynthHostSpan)
 	}
 }
 
@@ -159,10 +188,14 @@ func TestConnAddrOutsideSyntheticRange(t *testing.T) {
 func TestDropCounterNoPeer(t *testing.T) {
 	n := netsim.New(netsim.Config{})
 	virtual := netsim.Addr{Host: 100, Port: 2049}
-	startEcho(t, n, virtual)
-	// Exhaust the ephemeral range of the host the gateway will pick next
-	// (the allocator is process-wide, so peek at the counter).
-	next := synthHostBase + synthHosts.Load() + 1
+	sources := startEcho(t, n, virtual)
+	// Exhaust the ephemeral range of the host the gateway will pick next.
+	// The allocator is process-wide and hands out consecutive hosts, so a
+	// probe peer's host tells the next one.
+	next := probeHost(t, n, virtual, sources) + 1
+	if !inSynthRange(next) {
+		next = wire.SynthHostFirst
+	}
 	for p := uint16(ephemeralBase()); p != 0; p++ {
 		_, _ = n.Bind(netsim.Addr{Host: next, Port: p})
 	}
@@ -190,6 +223,28 @@ func TestDropCounterNoPeer(t *testing.T) {
 	if gw.NumPeers() != 0 {
 		t.Fatalf("peers = %d, want 0", gw.NumPeers())
 	}
+}
+
+// probeHost admits one peer through a throwaway gateway and returns the
+// synthetic host it was given.
+func probeHost(t *testing.T, n *netsim.Network, virtual netsim.Addr, sources func() []netsim.Addr) uint32 {
+	t.Helper()
+	gw, err := NewGateway("127.0.0.1:0", n, virtual)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	c, err := dial(gw.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pingPong(t, c, "probe")
+	peers := sources()
+	if len(peers) != 1 {
+		t.Fatalf("probe: fabric sources %v, want 1", peers)
+	}
+	return peers[0].Host
 }
 
 // ephemeralBase mirrors netsim's unexported constant for the exhaustion
@@ -290,7 +345,7 @@ func TestSocketBuffersSized(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	c, err := Dial(g.Addr().String())
+	c, err := dial(g.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +353,7 @@ func TestSocketBuffersSized(t *testing.T) {
 	for _, end := range []struct {
 		name string
 		conn *net.UDPConn
-	}{{"gateway", g.conn}, {"client", c.conn}} {
+	}{{"gateway", g.conn}, {"client", c}} {
 		if got := sockopt(t, end.conn, syscall.SO_RCVBUF); got < wantR {
 			t.Errorf("%s SO_RCVBUF = %d, want >= %d", end.name, got, wantR)
 		}

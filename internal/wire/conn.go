@@ -1,101 +1,71 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
-	"net"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"slice/internal/netsim"
 )
 
-// connPlaceholderHost is the fabric host a client-side Conn reports in
-// Addr(). Like udpgate's placeholder it sits below every synthetic peer
-// range, so it can never collide with a gateway-allocated host.
-const connPlaceholderHost = 0x7E000002
+// Framing delimits RPC messages on a client's transport: one datagram
+// per message over UDP, one RFC 1831 record per message over TCP.
+type Framing interface {
+	// Send writes one message whole and pushes it onto the wire. It may
+	// be called concurrently.
+	Send(payload []byte) error
+	// ReadMsg reads the next message into a pooled buffer behind hdrRoom
+	// bytes of headroom; the caller frees it with netsim.FreeBuf.
+	ReadMsg(hdrRoom int) ([]byte, error)
+	SetReadDeadline(t time.Time) error
+	Close() error
+}
 
-// Conn is a client-side oncrpc.Conn over a record-marked TCP stream,
-// usable with client.NewWithConn. The TCP connection itself is the peer
-// check (only the dialed gateway can write to it), so received records
-// are stamped with the last-sent destination address — the fabric-level
-// reflection the RPC client's peer-address check expects.
+// Conn is a client-side oncrpc.Conn over a Framing, usable with
+// client.NewWithConn. The transport itself is the peer check (only the
+// dialed gateway can answer on it), so each received message is stamped
+// with the last-sent destination address: the fabric-level reflection
+// the RPC client's peer-address check expects.
 type Conn struct {
-	tcp net.Conn
-	br  *bufio.Reader
-
-	wmu sync.Mutex
-	bw  *bufio.Writer
-
-	mu   sync.Mutex
-	peer netsim.Addr
+	f    Framing
+	peer atomic.Uint64 // last destination: host<<16 | port
 }
 
-// Dial connects to a wire gateway's TCP address.
-func Dial(server string) (*Conn, error) {
-	tcp, err := net.Dial("tcp", server)
-	if err != nil {
-		return nil, err
-	}
-	return NewConn(tcp), nil
-}
-
-// NewConn wraps an established stream in the record-marked framing.
-func NewConn(tcp net.Conn) *Conn {
-	return &Conn{
-		tcp: tcp,
-		br:  bufio.NewReaderSize(tcp, 64<<10),
-		bw:  bufio.NewWriterSize(tcp, 64<<10),
-	}
-}
+// NewConn returns a client Conn over f.
+func NewConn(f Framing) *Conn { return &Conn{f: f} }
 
 // SendTo implements oncrpc.Conn. The destination fabric address is
 // implied by the dialed gateway (it always targets the virtual server),
 // so dst is only recorded for reply stamping.
 func (c *Conn) SendTo(dst netsim.Addr, payload []byte) error {
-	c.mu.Lock()
-	c.peer = dst
-	c.mu.Unlock()
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := writeRecord(c.bw, payload, DefaultFragSize); err != nil {
-		return err
-	}
-	return c.bw.Flush()
+	c.peer.Store(uint64(dst.Host)<<16 | uint64(dst.Port))
+	return c.f.Send(payload)
 }
 
-// Recv implements oncrpc.Conn: it reads one reassembled record into a
-// pooled header-prefixed buffer and stamps the synthetic source address.
-// A timeout that fires mid-record leaves the stream unsynchronizable, so
-// the connection is closed; the RPC layer treats it like a dead port.
+// Recv implements oncrpc.Conn: it reads one message into a pooled
+// header-prefixed buffer, so the steady-state receive path allocates
+// nothing, and stamps the source address.
 func (c *Conn) Recv(timeout time.Duration) ([]byte, error) {
+	var deadline time.Time
 	if timeout > 0 {
-		if err := c.tcp.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := c.tcp.SetReadDeadline(time.Time{}); err != nil {
-			return nil, err
-		}
+		deadline = time.Now().Add(timeout)
 	}
-	d, err := readRecord(c.br, netsim.HeaderSize)
-	if err != nil {
-		if ne, ok := err.(net.Error); ok && ne.Timeout() && c.br.Buffered() > 0 {
-			c.tcp.Close()
-		}
+	if err := c.f.SetReadDeadline(deadline); err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	src := c.peer
-	c.mu.Unlock()
-	binary.BigEndian.PutUint32(d[netsim.OffSrcHost:], src.Host)
-	binary.BigEndian.PutUint16(d[netsim.OffSrcPort:], src.Port)
+	d, err := c.f.ReadMsg(netsim.HeaderSize)
+	if err != nil {
+		return nil, err
+	}
+	src := c.peer.Load()
+	binary.BigEndian.PutUint32(d[netsim.OffSrcHost:], uint32(src>>16))
+	binary.BigEndian.PutUint16(d[netsim.OffSrcPort:], uint16(src))
 	return d, nil
 }
 
 // Addr implements oncrpc.Conn with a placeholder fabric address outside
-// every gateway's synthetic peer range.
-func (c *Conn) Addr() netsim.Addr { return netsim.Addr{Host: connPlaceholderHost, Port: 1} }
+// the synthetic peer range.
+func (c *Conn) Addr() netsim.Addr { return netsim.Addr{Host: PlaceholderHost, Port: 1} }
 
 // Close implements oncrpc.Conn.
-func (c *Conn) Close() { _ = c.tcp.Close() }
+func (c *Conn) Close() { _ = c.f.Close() }

@@ -1,11 +1,8 @@
 package wire
 
 import (
-	"bufio"
-	"fmt"
-	"net"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"slice/internal/netsim"
@@ -18,110 +15,76 @@ import (
 // Portmap is an embedded portmapper (program 100000 v2) over
 // record-marked TCP: GETPORT and DUMP, backed by an explicit
 // registration table. A real client's first question — "where does NFS
-// listen?" — is answered here, pointing at the wire gateway.
+// listen?" — is answered here, pointing at the wire gateway. It is
+// served like the rest of the real wire: a Gateway relays every
+// connection onto a private fabric, where an oncrpc.Server answers.
 type Portmap struct {
-	ln  net.Listener
-	reg atomic.Pointer[obs.Registry]
+	*Gateway
+	srv *oncrpc.Server
 
-	mu     sync.Mutex
-	maps   map[mapKey]uint32
-	order  []mapKey
-	closed bool
-	wg     sync.WaitGroup
+	mu   sync.Mutex
+	maps []nfsproto.Mapping // in registration order
 }
 
-type mapKey struct{ prog, vers, prot uint32 }
+// portmapAddr is the portmapper's address on its private fabric.
+var portmapAddr = netsim.Addr{Host: 1, Port: 111}
 
 // NewPortmap starts a portmapper on the given TCP listen address.
 func NewPortmap(listen string) (*Portmap, error) {
-	ln, err := net.Listen("tcp", listen)
+	fabric := netsim.New(netsim.Config{})
+	port, err := fabric.Bind(portmapAddr)
 	if err != nil {
 		return nil, err
 	}
-	p := &Portmap{ln: ln, maps: make(map[mapKey]uint32)}
-	p.wg.Add(1)
-	go p.acceptLoop()
+	p := &Portmap{}
+	p.srv = oncrpc.NewServer(port, oncrpc.HandlerFunc(p.serve))
+	if p.Gateway, err = NewGateway(listen, fabric, portmapAddr); err != nil {
+		p.srv.Close()
+		return nil, err
+	}
 	return p, nil
 }
 
 // SetObs attaches an obs registry; served calls are recorded by op class
 // (portmap.getport, portmap.dump).
-func (p *Portmap) SetObs(r *obs.Registry) { p.reg.Store(r) }
+func (p *Portmap) SetObs(r *obs.Registry) {
+	if r == nil {
+		p.srv.SetObserver(nil)
+		return
+	}
+	p.srv.SetObserver(r.ObserveRPC)
+}
 
 // Register maps (prog, vers, prot) to a port, replacing any previous
 // registration.
 func (p *Portmap) Register(prog, vers, prot, port uint32) {
-	k := mapKey{prog, vers, prot}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.maps[k]; !ok {
-		p.order = append(p.order, k)
+	if m := p.lookup(prog, vers, prot); m != nil {
+		m.Port = port
+		return
 	}
-	p.maps[k] = port
+	p.maps = append(p.maps, nfsproto.Mapping{Prog: prog, Vers: vers, Prot: prot, Port: port})
 }
 
-// Addr returns the TCP address the portmapper listens on.
-func (p *Portmap) Addr() net.Addr { return p.ln.Addr() }
+// lookup returns the registration of (prog, vers, prot), or nil. The
+// caller holds p.mu.
+func (p *Portmap) lookup(prog, vers, prot uint32) *nfsproto.Mapping {
+	for i, m := range p.maps {
+		if m.Prog == prog && m.Vers == vers && m.Prot == prot {
+			return &p.maps[i]
+		}
+	}
+	return nil
+}
 
 // Close stops the portmapper.
 func (p *Portmap) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	p.mu.Unlock()
-	p.ln.Close()
-	p.wg.Wait()
+	p.Gateway.Close()
+	p.srv.Close()
 }
 
-func (p *Portmap) acceptLoop() {
-	defer p.wg.Done()
-	for {
-		tcp, err := p.ln.Accept()
-		if err != nil {
-			return
-		}
-		p.wg.Add(1)
-		go p.serveConn(tcp)
-	}
-}
-
-func (p *Portmap) serveConn(tcp net.Conn) {
-	defer p.wg.Done()
-	defer tcp.Close()
-	br := bufio.NewReaderSize(tcp, 4<<10)
-	bw := bufio.NewWriterSize(tcp, 4<<10)
-	for {
-		rec, err := readRecord(br, 0)
-		if err != nil {
-			return
-		}
-		call, err := oncrpc.ParseCall(rec)
-		if err != nil {
-			netsim.FreeBuf(rec)
-			return // framing is fine but the stream isn't RPC; hang up
-		}
-		t0 := time.Now()
-		res, accept := p.serve(call)
-		reply := oncrpc.EncodeReply(call.Xid, accept, res)
-		if r := p.reg.Load(); r != nil {
-			r.ObserveRPC(call.Program, call.Version, call.Proc, uint64(time.Since(t0)))
-		}
-		netsim.FreeBuf(rec)
-		err = writeRecord(bw, reply, 0)
-		netsim.FreeBuf(reply)
-		if err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-func (p *Portmap) serve(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
+func (p *Portmap) serve(call oncrpc.Call, _ netsim.Addr) (func(*xdr.Encoder), uint32) {
 	if call.Program != nfsproto.PortmapProgram {
 		return nil, oncrpc.AcceptProgUnavail
 	}
@@ -136,19 +99,16 @@ func (p *Portmap) serve(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
 		if err := args.Decode(xdr.NewDecoder(call.Body)); err != nil {
 			return nil, oncrpc.AcceptGarbageArgs
 		}
+		var res nfsproto.GetPortRes
 		p.mu.Lock()
-		port := p.maps[mapKey{args.Prog, args.Vers, args.Prot}]
+		if m := p.lookup(args.Prog, args.Vers, args.Prot); m != nil {
+			res.Port = m.Port
+		}
 		p.mu.Unlock()
-		res := nfsproto.GetPortRes{Port: port}
 		return res.Encode, oncrpc.AcceptSuccess
 	case nfsproto.PortmapProcDump:
 		p.mu.Lock()
-		res := nfsproto.DumpRes{Mappings: make([]nfsproto.Mapping, 0, len(p.order))}
-		for _, k := range p.order {
-			res.Mappings = append(res.Mappings, nfsproto.Mapping{
-				Prog: k.prog, Vers: k.vers, Prot: k.prot, Port: p.maps[k],
-			})
-		}
+		res := nfsproto.DumpRes{Mappings: slices.Clone(p.maps)}
 		p.mu.Unlock()
 		return res.Encode, oncrpc.AcceptSuccess
 	default:
@@ -158,44 +118,23 @@ func (p *Portmap) serve(call oncrpc.Call) (func(*xdr.Encoder), uint32) {
 
 // ------------------------------------------------------- client helpers
 
-var xidCounter atomic.Uint32
-
-// rpcOnce performs a single record-marked RPC over a fresh TCP
-// connection — the one-shot discovery pattern of a mounting client — and
-// decodes the result into res straight from the pooled reply record.
-func rpcOnce(server string, prog, vers, proc uint32, args func(*xdr.Encoder), res nfsproto.Msg) error {
-	tcp, err := net.Dial("tcp", server)
+// portmapCall performs one portmapper call over a fresh connection — the
+// one-shot discovery pattern of a mounting client — and decodes the
+// result into res straight from the pooled reply.
+func portmapCall(server string, proc uint32, args func(*xdr.Encoder), res nfsproto.Msg) error {
+	conn, err := Dial(server)
 	if err != nil {
 		return err
 	}
-	defer tcp.Close()
-	xid := xidCounter.Add(1)
-	bw := bufio.NewWriter(tcp)
-	call := oncrpc.EncodeCall(xid, prog, vers, proc, args)
-	err = writeRecord(bw, call, 0)
-	netsim.FreeBuf(call)
+	// One transmission and a long wait, as a one-shot discovery call
+	// should: retransmitting on the same TCP stream gains nothing.
+	c := oncrpc.NewClient(conn, netsim.Addr{}, oncrpc.ClientConfig{Timeout: 10 * time.Second, Retries: 1})
+	defer c.Close()
+	rep, err := c.Call(nfsproto.PortmapProgram, nfsproto.PortmapVersion, proc, args)
 	if err != nil {
 		return err
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	_ = tcp.SetReadDeadline(time.Now().Add(10 * time.Second))
-	rec, err := readRecord(bufio.NewReader(tcp), 0)
-	if err != nil {
-		return err
-	}
-	defer netsim.FreeBuf(rec)
-	rep, err := oncrpc.ParseReply(rec)
-	if err != nil {
-		return err
-	}
-	if rep.Xid != xid {
-		return fmt.Errorf("wire: reply xid %d for call %d", rep.Xid, xid)
-	}
-	if rep.Accept != oncrpc.AcceptSuccess {
-		return &oncrpc.ErrRejected{Accept: rep.Accept}
-	}
+	defer rep.Release()
 	return res.Decode(xdr.NewDecoder(rep.Body))
 }
 
@@ -203,8 +142,8 @@ func rpcOnce(server string, prog, vers, proc uint32, args func(*xdr.Encoder), re
 // listens; 0 means unregistered.
 func GetPort(server string, prog, vers, prot uint32) (uint32, error) {
 	var res nfsproto.GetPortRes
-	if err := rpcOnce(server, nfsproto.PortmapProgram, nfsproto.PortmapVersion,
-		nfsproto.PortmapProcGetPort, (&nfsproto.Mapping{Prog: prog, Vers: vers, Prot: prot}).Encode, &res); err != nil {
+	args := &nfsproto.Mapping{Prog: prog, Vers: vers, Prot: prot}
+	if err := portmapCall(server, nfsproto.PortmapProcGetPort, args.Encode, &res); err != nil {
 		return 0, err
 	}
 	return res.Port, nil
@@ -213,8 +152,7 @@ func GetPort(server string, prog, vers, prot uint32) (uint32, error) {
 // Dump returns every registration of the portmapper at server.
 func Dump(server string) ([]nfsproto.Mapping, error) {
 	var res nfsproto.DumpRes
-	if err := rpcOnce(server, nfsproto.PortmapProgram, nfsproto.PortmapVersion,
-		nfsproto.PortmapProcDump, nil, &res); err != nil {
+	if err := portmapCall(server, nfsproto.PortmapProcDump, nil, &res); err != nil {
 		return nil, err
 	}
 	return res.Mappings, nil

@@ -4,11 +4,12 @@
 // stock NFSv3-style client can discover, mount, and drive the sliced
 // file service over an ordinary network.
 //
-// The TCP gateway plays the same trick as udpgate: each accepted
-// connection is assigned a synthetic client address on the netsim
-// fabric, and decoded records are sent toward the virtual server — so
-// real-wire traffic traverses the interposed µproxy fleet exactly like
-// in-fabric traffic. Unlike UDP, record-marked TCP has no 64 KiB
+// It also holds the one gateway core both real-wire transports share
+// (Relay): every client — a TCP connection here, a UDP remote in package
+// udpgate — is assigned a synthetic client address on the netsim
+// fabric, and its decoded messages are sent toward the virtual server,
+// so real-wire traffic traverses the interposed µproxy fleet exactly
+// like in-fabric traffic. Unlike UDP, record-marked TCP has no 64 KiB
 // datagram ceiling: whole stripe-unit READ/WRITE bodies ride a single
 // record, fragmented and reassembled at the marking layer.
 package wire
